@@ -3,16 +3,15 @@ larger multilingual teacher, with ablation protocols and report emission,
 all on a hand-rolled numpy autodiff core."""
 
 from .autograd import Tensor, finite_difference_check, no_grad, precision
-from .checkpoint import (Checkpoint, checkpoint_digest, load_checkpoint, load_finetuned,
-                         save_checkpoint)
+from .checkpoint import checkpoint_digest, load_checkpoint, load_finetuned, save_checkpoint
 from .data import (Corpus, LabeledBatch, MaskedBatch, load_corpus, make_labeled_batches,
                    make_mlm_batch, subsample)
 from .distill import (DistillConfig, TrainState, condition_teacher, distill_loss,
                       distill_run, evaluate_masked, pretrain_mlm)
 from .errors import (CheckpointCorruptError, CheckpointError, CheckpointShapeError,
                      ConfigurationError, DataError, DimensionError, EvaluationError,
-                     MonodistilError, NoMaskedPositionsError, UsageError,
-                     VocabMismatchError, VocabularyError)
+                     MonodistilError, NoMaskedPositionsError, TrainingDivergedError,
+                     UsageError, VocabMismatchError, VocabularyError)
 from .harness import (ComparisonReport, ComparisonRow, MetricReport, TaskSpec, emit_report,
                       finetune, measure_speedup, parse_report_csv,
                       run_ablation_conditioning, run_ablation_data_fraction,

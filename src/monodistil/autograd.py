@@ -528,7 +528,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = ((x.data - mu) * inv).astype(x.data.dtype)
     out_data = gain.data * xhat + bias.data
     a, g_t, b_t = x, gain, bias
-    n = x.shape[-1]
 
     def back():
         go = out.grad
@@ -542,7 +541,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
             a._accumulate((inv * (dxhat - m1 - xhat * m2)).astype(a.data.dtype))
 
-    _ = n
     out = Tensor._from_result(out_data, (a, g_t, b_t), back)
     return out
 
@@ -584,8 +582,3 @@ def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float =
 
 def parameters_finite(tensors: Iterable[Tensor]) -> bool:
     return all(np.isfinite(t.data).all() for t in tensors)
-
-
-def backward(loss: Tensor) -> None:
-    """Free-function alias of ``Tensor.backward``."""
-    loss.backward()

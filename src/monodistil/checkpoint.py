@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +27,6 @@ FORMAT_VERSION = "1"
 
 _CONFIG_FIELDS = ("hidden_dim", "intermediate_size", "num_layers", "num_heads",
                   "max_positions", "vocab_size", "dropout_rate", "tie_mlm_head")
-
-
-@dataclass
-class Checkpoint:
-    manifest: str
-    payload: bytes
 
 
 def _format_shape(shape: tuple[int, ...]) -> str:
@@ -77,7 +70,7 @@ def _build_manifest(model: EncoderModel, vocab_hash: str, seed: int, source: str
 
 
 def save_checkpoint(model: EncoderModel, path, vocab: Vocab, seed: int = 0,
-                    source: str = "", head: Head | None = None) -> Checkpoint:
+                    source: str = "", head: Head | None = None) -> None:
     """Write ``manifest`` and ``weights.bin`` under the directory ``path``."""
     manifest, entries = _build_manifest(model, vocab.content_hash(), seed, source, head)
     payload = b"".join(np.ascontiguousarray(d, dtype="<f4").tobytes() for _, d in entries)
@@ -85,7 +78,6 @@ def save_checkpoint(model: EncoderModel, path, vocab: Vocab, seed: int = 0,
     out.mkdir(parents=True, exist_ok=True)
     (out / MANIFEST_NAME).write_text(manifest, encoding="utf-8")
     (out / WEIGHTS_NAME).write_bytes(payload)
-    return Checkpoint(manifest, payload)
 
 
 def checkpoint_digest(path) -> str:

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from .checkpoint import load_checkpoint, load_finetuned, save_checkpoint
 from .data import load_corpus, subsample
-from .distill import (DistillConfig, condition_teacher, distill_run, load_distill_config,
-                      pretrain_mlm, write_resolved_config)
+from .distill import (DistillConfig, TrainState, condition_teacher, distill_run,
+                      load_distill_config, pretrain_mlm)
 from .errors import (ConfigurationError, DataError, MonodistilError, UsageError,
                      VocabularyError)
 from .harness import (BASELINE_NAME, TaskSpec, emit_report, evaluate_task, finetune,
@@ -77,14 +77,22 @@ def prepare_run(subcommand: str, args, inputs: list) -> Path:
     return run_dir
 
 
-def _resolve_distill_config(args, force_mlm_only: bool = False) -> DistillConfig:
+def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
+    """Flags over config file over defaults. ``mlm_only`` pins the MLM weight
+    to 1; the training functions zero the KL weight themselves."""
     overrides = {name: getattr(args, name, None) for name in _DISTILL_FLAGS}
-    if force_mlm_only:
-        overrides["alpha_kl"] = 0.0
+    if mlm_only:
         overrides["alpha_mlm"] = 1.0
     if getattr(args, "config", None):
         return load_distill_config(args.config, overrides)
     return DistillConfig(**{k: v for k, v in overrides.items() if v is not None})
+
+
+def _print_training_result(out: Path, state: TrainState) -> int:
+    last = state.log[-1]
+    print(f"checkpoint: {out}")
+    print(f"final_loss: {last.total:.6f} after {last.step} steps")
+    return 0
 
 
 def _encoder_config(args, vocab: Vocab) -> EncoderConfig:
@@ -143,14 +151,12 @@ def cmd_pretrain(args) -> int:
     run_dir = prepare_run("pretrain", args, [args.corpus, args.vocab, args.config])
     vocab = _load_vocab(args)
     corpus = load_corpus(args.corpus)
-    cfg = _resolve_distill_config(args, force_mlm_only=True)
+    cfg = _resolve_distill_config(args, mlm_only=True)
     model_cfg = _encoder_config(args, vocab)
     model, state = pretrain_mlm(model_cfg, corpus, cfg, vocab, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
     save_checkpoint(model, out, vocab, seed=cfg.seed, source="pretrain")
-    print(f"checkpoint: {out}")
-    print(f"final_loss: {state.total:.6f} after {state.step} steps")
-    return 0
+    return _print_training_result(out, state)
 
 
 def cmd_distill(args) -> int:
@@ -167,9 +173,7 @@ def cmd_distill(args) -> int:
                                  init_from_teacher=init_mode, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
     save_checkpoint(student, out, vocab, seed=cfg.seed, source="distill")
-    print(f"checkpoint: {out}")
-    print(f"final_loss: {state.total:.6f} after {state.step} steps")
-    return 0
+    return _print_training_result(out, state)
 
 
 def cmd_condition(args) -> int:
@@ -177,13 +181,11 @@ def cmd_condition(args) -> int:
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
-    cfg = _resolve_distill_config(args, force_mlm_only=True)
+    cfg = _resolve_distill_config(args, mlm_only=True)
     conditioned, state = condition_teacher(teacher, corpus, cfg, vocab, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
     save_checkpoint(conditioned, out, vocab, seed=cfg.seed, source="condition")
-    print(f"checkpoint: {out}")
-    print(f"final_loss: {state.total:.6f} after {state.step} steps")
-    return 0
+    return _print_training_result(out, state)
 
 
 def cmd_finetune(args) -> int:

@@ -1,16 +1,18 @@
 """Distillation and MLM training loops with a frozen teacher.
 
-The objective is a weighted sum of a temperature-softened KL term
-between student and teacher vocabulary distributions and a gold-target
-masked cross entropy, both evaluated only at masked positions. Setting
-the KL weight to zero reduces the loop to plain MLM pretraining along
-the bit-identical code path.
+The objective is a weighted sum of two terms, both evaluated only at
+masked positions: KL(student || teacher) between the vocabulary
+distributions softened by temperature T, scaled by T^2, and the masked
+cross entropy against the gold tokens. Setting the KL weight to zero
+reduces the loop to plain MLM pretraining along the bit-identical code
+path.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 import time
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
@@ -19,18 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .autograd import Tensor, no_grad
+from .autograd import Tensor, gather_rows, no_grad, parameters_finite
 from .data import Corpus, MaskedBatch, encode_corpus, make_mlm_batch
-from .errors import ConfigurationError, DimensionError, NoMaskedPositionsError
+from .errors import (ConfigurationError, DimensionError, NoMaskedPositionsError,
+                     TrainingDivergedError)
 from .model import (EncoderConfig, EncoderModel, clone_model, copy_embeddings_from,
                     forward_mlm, init_random, model_vocab_guard, set_frozen)
 from .optim import AdamW, clip_grad_norm
 from .tokenizer import Vocab
 
 INIT_MODES = ("none", "copy", "copy_and_freeze")
-
-KL_DIRECTIONS = ("student_teacher", "teacher_student")
-MLM_TARGET_MODES = ("gold", "teacher")
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,17 @@ class DistillConfig:
     learning_rate: float = 5e-3
     mask_rate: float = 0.15
     seed: int = 0
-    scale_kl_by_T_squared: bool = True
-    kl_direction: str = "student_teacher"
-    mlm_targets: str = "gold"
     max_len: int = 32
     weight_decay: float = 0.01
     clip_norm: float = 1.0
     dropout_rate: float = 0.0
 
     def __post_init__(self):
+        # NaN passes every comparison below, so reject non-finite values first
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
         if self.alpha_kl < 0 or self.alpha_mlm < 0:
             raise ConfigurationError("loss weights must be non-negative")
         if self.alpha_kl + self.alpha_mlm <= 0:
@@ -66,10 +68,6 @@ class DistillConfig:
             raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.mask_rate < 1.0:
             raise ConfigurationError(f"mask_rate must be in [0, 1), got {self.mask_rate}")
-        if self.kl_direction not in KL_DIRECTIONS:
-            raise ConfigurationError(f"kl_direction must be one of {KL_DIRECTIONS}")
-        if self.mlm_targets not in MLM_TARGET_MODES:
-            raise ConfigurationError(f"mlm_targets must be one of {MLM_TARGET_MODES}")
         if self.max_len < 3:
             raise ConfigurationError(f"max_len must be at least 3, got {self.max_len}")
         if self.weight_decay < 0:
@@ -92,13 +90,6 @@ class LogRow:
 
 @dataclass
 class TrainState:
-    step: int
-    epoch: int
-    total: float
-    kl: float
-    mlm: float
-    elapsed_seconds: float
-    seed: int
     config: DistillConfig
     log: list[LogRow]
 
@@ -107,14 +98,15 @@ def distill_loss(student_logits: Tensor, teacher_logits: Tensor | None,
                  batch: MaskedBatch, cfg: DistillConfig) -> tuple[Tensor, Tensor, Tensor]:
     """Combined objective and its two parts, all scalars.
 
-    The returned kl part already carries the optional temperature-squared
-    factor, so total = alpha_kl * kl + alpha_mlm * mlm holds as logged.
+    kl is KL(student || teacher) at the configured temperature T, times
+    T^2, so total = alpha_kl * kl + alpha_mlm * mlm holds as logged. A
+    part whose weight is zero is not computed and comes back as 0;
     teacher_logits may be None only when alpha_kl is zero.
     """
     if not batch.mlm_mask.any():
         raise NoMaskedPositionsError("no supervised positions: every mask entry is false")
-    zero = Tensor(np.zeros((), dtype=student_logits.data.dtype))
-
+    kl_part = mlm_part = Tensor(np.zeros((), dtype=student_logits.data.dtype))
+    terms = []
     if cfg.alpha_kl > 0:
         if teacher_logits is None:
             raise ConfigurationError("teacher logits are required when alpha_kl > 0")
@@ -122,39 +114,15 @@ def distill_loss(student_logits: Tensor, teacher_logits: Tensor | None,
             raise DimensionError(
                 f"student logits {student_logits.data.shape} and teacher logits "
                 f"{teacher_logits.data.shape} must match")
-        from .autograd import gather_rows
-        rows_s = gather_rows(student_logits, batch.mlm_mask)
-        rows_t = gather_rows(teacher_logits, batch.mlm_mask)
-        if cfg.kl_direction == "student_teacher":
-            kl_part = losses.kl_divergence(rows_s, rows_t, cfg.temperature)
-        else:
-            kl_part = losses.kl_divergence(rows_t, rows_s, cfg.temperature)
-        if cfg.scale_kl_by_T_squared:
-            kl_part = kl_part * (cfg.temperature * cfg.temperature)
-    else:
-        kl_part = zero
-
+        kl_part = losses.kl_divergence(gather_rows(student_logits, batch.mlm_mask),
+                                       gather_rows(teacher_logits, batch.mlm_mask),
+                                       cfg.temperature) * (cfg.temperature * cfg.temperature)
+        terms.append(kl_part * cfg.alpha_kl)
     if cfg.alpha_mlm > 0:
-        if cfg.mlm_targets == "teacher":
-            from .autograd import gather_rows
-            rows_s = gather_rows(student_logits, batch.mlm_mask)
-            rows_t = gather_rows(teacher_logits, batch.mlm_mask)
-            with no_grad():
-                soft = losses.softmax_with_temperature(rows_t, 1.0)
-            mlm_part = losses.soft_cross_entropy(rows_s, soft)
-        else:
-            mlm_part = losses.cross_entropy_masked(student_logits, batch.original_ids,
-                                                   batch.mlm_mask)
-    else:
-        mlm_part = zero
-
-    if cfg.alpha_kl == 0:
-        total = mlm_part * cfg.alpha_mlm
-    elif cfg.alpha_mlm == 0:
-        total = kl_part * cfg.alpha_kl
-    else:
-        total = kl_part * cfg.alpha_kl + mlm_part * cfg.alpha_mlm
-    return total, kl_part, mlm_part
+        mlm_part = losses.cross_entropy_masked(student_logits, batch.original_ids,
+                                               batch.mlm_mask)
+        terms.append(mlm_part * cfg.alpha_mlm)
+    return sum(terms[1:], terms[0]), kl_part, mlm_part
 
 
 def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
@@ -195,6 +163,9 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
             student_logits = forward_mlm(student, batch.token_ids, batch.attention_mask,
                                          dropout_rng=dropout_rng)
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
+            if not np.isfinite(total.data):
+                raise TrainingDivergedError(
+                    f"non-finite loss {float(total.data)} at step {step + 1} (epoch {epoch})")
             optimizer.zero_grad()
             total.backward()
             clip_grad_norm(params, cfg.clip_norm)
@@ -207,9 +178,9 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
     if not rows:
         raise ConfigurationError(
             "training produced no steps (every batch had zero masked positions)")
-    last = rows[-1]
-    state = TrainState(last.step, last.epoch, last.total, last.kl, last.mlm,
-                       last.elapsed_seconds, cfg.seed, cfg, rows)
+    if not parameters_finite(params.values()):
+        raise TrainingDivergedError(f"parameters are non-finite after step {step}")
+    state = TrainState(cfg, rows)
     if run_dir is not None:
         run_path = Path(run_dir)
         run_path.mkdir(parents=True, exist_ok=True)
@@ -250,12 +221,16 @@ def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: Corpu
     return student, state
 
 
+def _mlm_only(cfg: DistillConfig) -> DistillConfig:
+    """``cfg`` with the KL weight forced to zero and a positive MLM weight."""
+    return dataclasses.replace(cfg, alpha_kl=0.0, alpha_mlm=cfg.alpha_mlm or 1.0)
+
+
 def pretrain_mlm(model_cfg: EncoderConfig, corpus: Corpus, cfg: DistillConfig,
                  vocab: Vocab, run_dir=None,
                  clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """Plain MLM training; the KL weight is forced to zero."""
-    alpha_mlm = cfg.alpha_mlm if cfg.alpha_mlm > 0 else 1.0
-    cfg = dataclasses.replace(cfg, alpha_kl=0.0, alpha_mlm=alpha_mlm)
+    cfg = _mlm_only(cfg)
     model_cfg = dataclasses.replace(model_cfg, dropout_rate=cfg.dropout_rate)
     model = init_random(model_cfg, cfg.seed)
     state = _train_mlm_loop(model, None, corpus, cfg, vocab, run_dir, clock)
@@ -267,10 +242,8 @@ def condition_teacher(teacher: EncoderModel, corpus: Corpus, cfg: DistillConfig,
                       clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """MLM-finetune a copy of the teacher on ``corpus``; the original is untouched."""
     model_vocab_guard(teacher, vocab)
-    alpha_mlm = cfg.alpha_mlm if cfg.alpha_mlm > 0 else 1.0
-    cfg = dataclasses.replace(cfg, alpha_kl=0.0, alpha_mlm=alpha_mlm)
     conditioned = clone_model(teacher)
-    state = _train_mlm_loop(conditioned, None, corpus, cfg, vocab, run_dir, clock)
+    state = _train_mlm_loop(conditioned, None, corpus, _mlm_only(cfg), vocab, run_dir, clock)
     return conditioned, state
 
 
@@ -349,16 +322,9 @@ def load_distill_config(path, overrides: dict | None = None) -> DistillConfig:
         if key not in known:
             raise ConfigurationError(f"unknown config key {key!r} in {path}")
         field = known[key]
-        default = field.default
+        parse = int if isinstance(field.default, int) else float
         try:
-            if isinstance(default, bool):
-                values[field.name] = raw.strip().lower() in ("1", "true", "yes", "on")
-            elif isinstance(default, int):
-                values[field.name] = int(raw)
-            elif isinstance(default, float):
-                values[field.name] = float(raw)
-            else:
-                values[field.name] = raw.strip()
+            values[field.name] = parse(raw)
         except ValueError as exc:
             raise ConfigurationError(f"config key {key!r} has unreadable value {raw!r}") from exc
     if overrides:

@@ -29,6 +29,10 @@ class NoMaskedPositionsError(MonodistilError, ValueError):
     """A masked loss was requested but no supervised positions exist."""
 
 
+class TrainingDivergedError(MonodistilError):
+    """Training produced a non-finite loss or non-finite parameters."""
+
+
 class VocabularyError(MonodistilError, ValueError):
     """A token id or token set is inconsistent with the vocabulary."""
 

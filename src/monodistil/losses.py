@@ -4,17 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, gather_rows, log_softmax, softmax, take_index
+from .autograd import Tensor, gather_rows, log_softmax, take_index
 from .errors import DimensionError, NoMaskedPositionsError
-
-
-def softmax_with_temperature(logits: Tensor, temperature: float) -> Tensor:
-    """Softmax over the final axis of logits cooled by ``temperature``.
-
-    Each final-axis slice of the result sums to 1; higher temperatures
-    flatten the distribution without changing the argmax.
-    """
-    return softmax(logits, temperature=temperature, axis=-1)
 
 
 def kl_divergence(p_logits: Tensor, q_logits: Tensor, temperature: float = 1.0) -> Tensor:
@@ -67,11 +58,3 @@ def cross_entropy_masked(logits: Tensor, targets: np.ndarray, mask: np.ndarray) 
     rows = gather_rows(logits, mask)
     return cross_entropy(rows, targets[mask])
 
-
-def soft_cross_entropy(logits: Tensor, target_probs: Tensor) -> Tensor:
-    """Mean of -sum_i t_i * log_softmax(logits)_i over [N, C] rows."""
-    if logits.shape != target_probs.shape:
-        raise DimensionError(
-            f"soft targets shape {target_probs.shape} does not match logits {logits.shape}")
-    log_probs = log_softmax(logits, axis=-1)
-    return -(target_probs * log_probs).sum(axis=-1).mean()

@@ -55,18 +55,6 @@ class EncoderConfig:
         return self.hidden_dim // self.num_heads
 
 
-def teacher_config(vocab_size: int, **overrides) -> EncoderConfig:
-    return EncoderConfig(768, 3072, 12, 12, 512, vocab_size, **overrides)
-
-
-def base_config(vocab_size: int, **overrides) -> EncoderConfig:
-    return EncoderConfig(768, 3072, 6, 12, 512, vocab_size, **overrides)
-
-
-def tiny_config(vocab_size: int, **overrides) -> EncoderConfig:
-    return EncoderConfig(312, 1200, 4, 12, 512, vocab_size, **overrides)
-
-
 def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     """Every parameter name and shape, in canonical (checkpoint) order."""
     h, i, v, p = (config.hidden_dim, config.intermediate_size,

@@ -489,7 +489,7 @@ def test_criterion_8_property_sweep(capsys, tmp_path, small_vocab, tiny_cfg):
                st.floats(0.25, 8.0))
         def softmax_properties(row, temperature):
             logits = np.asarray([row], dtype=np.float32)
-            probs = losses.softmax_with_temperature(Tensor(logits), temperature).data
+            probs = softmax(Tensor(logits), temperature=temperature).data
             assert probs.min() >= 0.0
             assert probs.sum() == pytest.approx(1.0, abs=1e-5)
             ordered = np.sort(logits[0])

@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from monodistil.checkpoint import checkpoint_digest
@@ -100,6 +101,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "epochs" in err
         assert err.count("\n") == 1
+
+    def test_nan_learning_rate_is_a_usage_error(self, cli_env, tmp_path, capsys):
+        rc = main(["pretrain", "--run-dir", str(tmp_path / "r"),
+                   "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"],
+                   *ARCH, *TRAIN, "--lr", "nan", "--out", str(tmp_path / "ckpt")])
+        assert rc == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_diverging_pretrain_fails_and_saves_nothing(self, cli_env, tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["pretrain", "--run-dir", str(tmp_path / "r"),
+                       "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"],
+                       *ARCH, "--max-len", "16", "--epochs", "2", "--batch-size", "4",
+                       "--lr", "1e6", "--out", str(tmp_path / "ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("TrainingDivergedError:")
+        assert not (tmp_path / "ckpt").exists()
 
     def test_unknown_flag(self, capsys):
         assert main(["distill", "--frobnicate"]) == 2

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from monodistil.autograd import Tensor
+from monodistil.autograd import Tensor, softmax
 from monodistil.errors import DimensionError, NoMaskedPositionsError
-from monodistil.losses import (cross_entropy, cross_entropy_masked, kl_divergence,
-                               soft_cross_entropy, softmax_with_temperature)
+from monodistil.losses import cross_entropy, cross_entropy_masked, kl_divergence
 
 
 def _rng(seed=0):
@@ -18,17 +17,17 @@ def _rng(seed=0):
 
 
 def test_softmax_symmetry_case():
-    out = softmax_with_temperature(Tensor(np.array([0.0, 0.0], dtype=np.float32)), 1.0)
+    out = softmax(Tensor(np.array([0.0, 0.0], dtype=np.float32)), temperature=1.0)
     np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-7)
 
 
 def test_softmax_scalar_oracle():
-    out = softmax_with_temperature(Tensor(np.array([1.0, 2.0], dtype=np.float32)), 1.0)
+    out = softmax(Tensor(np.array([1.0, 2.0], dtype=np.float32)), temperature=1.0)
     np.testing.assert_allclose(out.data, [0.26894, 0.73106], atol=1e-5)
 
 
 def test_softmax_high_temperature_approaches_uniform():
-    out = softmax_with_temperature(Tensor(np.array([1.0, 2.0], dtype=np.float32)), 1000.0)
+    out = softmax(Tensor(np.array([1.0, 2.0], dtype=np.float32)), temperature=1000.0)
     np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-3)
 
 
@@ -36,8 +35,8 @@ def test_softmax_high_temperature_approaches_uniform():
        st.floats(min_value=0.25, max_value=20.0))
 def test_temperature_never_lowers_entropy(seed, factor):
     logits = Tensor(_rng(seed).standard_normal((8,)).astype(np.float32) * 3)
-    cool = softmax_with_temperature(logits, 1.0).data.astype(np.float64)
-    warm = softmax_with_temperature(logits, 1.0 + factor).data.astype(np.float64)
+    cool = softmax(logits, temperature=1.0).data.astype(np.float64)
+    warm = softmax(logits, temperature=1.0 + factor).data.astype(np.float64)
 
     def entropy(p):
         p = np.clip(p, 1e-12, 1.0)
@@ -118,13 +117,3 @@ def test_cross_entropy_masked_empty_mask_raises():
         cross_entropy_masked(logits, np.zeros((1, 3), dtype=int),
                              np.zeros((1, 3), dtype=bool))
 
-
-def test_soft_cross_entropy_matches_hard_targets_on_one_hot():
-    gen = _rng(3)
-    logits_data = gen.standard_normal((4, 6)).astype(np.float32)
-    targets = gen.integers(0, 6, size=4)
-    one_hot = np.zeros((4, 6), dtype=np.float32)
-    one_hot[np.arange(4), targets] = 1.0
-    soft = soft_cross_entropy(Tensor(logits_data), Tensor(one_hot)).item()
-    hard = cross_entropy(Tensor(logits_data), targets).item()
-    assert abs(soft - hard) < 1e-6

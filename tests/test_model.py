@@ -8,7 +8,6 @@ from monodistil.errors import ConfigurationError, DimensionError
 from monodistil.losses import cross_entropy, cross_entropy_masked
 from monodistil.model import (
     EncoderConfig,
-    base_config,
     copy_embeddings_from,
     count_parameters,
     count_parameters_for_config,
@@ -22,8 +21,6 @@ from monodistil.model import (
     model_vocab_guard,
     parameter_shapes,
     set_frozen,
-    teacher_config,
-    tiny_config,
 )
 from monodistil.optim import AdamW
 
@@ -57,13 +54,6 @@ class TestConfigValidation:
     def test_odd_head_dim_warns(self):
         with pytest.warns(UserWarning):
             EncoderConfig(12, 24, 1, 2, 16, 40, dropout_rate=0.0)
-
-    def test_preset_size_ordering(self):
-        with pytest.warns(UserWarning):
-            tiny = count_parameters_for_config(tiny_config(30000))
-        base = count_parameters_for_config(base_config(30000))
-        teacher = count_parameters_for_config(teacher_config(30000))
-        assert tiny < base < teacher
 
     def test_more_layers_more_parameters(self):
         one = count_parameters_for_config(EncoderConfig(16, 32, 1, 2, 16, 40, dropout_rate=0.0))
