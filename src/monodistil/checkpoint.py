@@ -26,7 +26,7 @@ WEIGHTS_NAME = "weights.bin"
 FORMAT_VERSION = "1"
 
 _CONFIG_FIELDS = ("hidden_dim", "intermediate_size", "num_layers", "num_heads",
-                  "max_positions", "vocab_size", "dropout_rate", "tie_mlm_head")
+                  "max_positions", "vocab_size")
 
 
 def _format_shape(shape: tuple[int, ...]) -> str:
@@ -45,8 +45,7 @@ def _build_manifest(model: EncoderModel, vocab_hash: str, seed: int, source: str
     cfg = model.config
     parser = configparser.ConfigParser()
     parser["format"] = {"version": FORMAT_VERSION}
-    parser["config"] = {name: repr(getattr(cfg, name)).lower() if name == "tie_mlm_head"
-                        else repr(getattr(cfg, name)) for name in _CONFIG_FIELDS}
+    parser["config"] = {name: repr(getattr(cfg, name)) for name in _CONFIG_FIELDS}
     parser["meta"] = {"vocab_sha256": vocab_hash, "seed": repr(int(seed)), "source": source}
     parser["frozen"] = {"groups": ",".join(sorted(model.frozen_groups))}
 
@@ -113,16 +112,7 @@ def _read_manifest(path) -> configparser.ConfigParser:
 def _parse_config(parser: configparser.ConfigParser) -> EncoderConfig:
     section = parser["config"]
     try:
-        return EncoderConfig(
-            hidden_dim=section.getint("hidden_dim"),
-            intermediate_size=section.getint("intermediate_size"),
-            num_layers=section.getint("num_layers"),
-            num_heads=section.getint("num_heads"),
-            max_positions=section.getint("max_positions"),
-            vocab_size=section.getint("vocab_size"),
-            dropout_rate=section.getfloat("dropout_rate"),
-            tie_mlm_head=section.getboolean("tie_mlm_head"),
-        )
+        return EncoderConfig(**{name: section.getint(name) for name in _CONFIG_FIELDS})
     except (ValueError, TypeError) as exc:
         raise CheckpointCorruptError(f"manifest config is unreadable: {exc}") from exc
 
@@ -143,19 +133,22 @@ def _load_tensor(payload: bytes, name: str, spec: str) -> np.ndarray:
     return flat.reshape(shape).copy()
 
 
+def _frozen_groups(parser: configparser.ConfigParser) -> list[str]:
+    return [g for g in parser.get("frozen", "groups", fallback="").split(",") if g]
+
+
 def read_checkpoint_meta(path) -> dict:
     """Config, vocab hash, seed, source, and head info without loading weights."""
     parser = _read_manifest(path)
     meta = dict(parser["meta"])
-    info = {
+    return {
         "config": _parse_config(parser),
         "vocab_sha256": meta.get("vocab_sha256", ""),
         "seed": int(meta.get("seed", "0")),
         "source": meta.get("source", ""),
-        "frozen_groups": [g for g in parser.get("frozen", "groups", fallback="").split(",") if g],
+        "frozen_groups": _frozen_groups(parser),
         "head": dict(parser["head"]) if "head" in parser else None,
     }
-    return info
 
 
 def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
@@ -191,7 +184,7 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
                 f"tensor {name} has shape {data.shape}, config requires {shape}")
         params[name] = Tensor(data, requires_grad=True)
     model = EncoderModel(config, params)
-    for group in read_checkpoint_meta(path)["frozen_groups"]:
+    for group in _frozen_groups(parser):
         set_frozen(model, group, True)
 
     head = None

@@ -36,6 +36,7 @@ INIT_FLAG_MAP = {"none": "none", "copy": "copy", "copy-freeze": "copy_and_freeze
 
 _DISTILL_FLAGS = ("alpha_kl", "alpha_mlm", "temperature", "epochs", "batch_size",
                   "learning_rate", "mask_rate", "seed", "max_len")
+_MLM_ONLY_WEIGHTS = {"alpha_kl": 0.0, "alpha_mlm": 1.0}
 
 
 def _short_hash(*parts) -> str:
@@ -78,14 +79,13 @@ def prepare_run(subcommand: str, args, inputs: list) -> Path:
 
 
 def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
-    """Flags over config file over defaults. ``mlm_only`` pins the MLM weight
-    to 1; the training functions zero the KL weight themselves."""
+    """Flags over config file over defaults. ``mlm_only`` pins the loss
+    weights to MLM alone; a config file that sets them otherwise is an error."""
     overrides = {name: getattr(args, name, None) for name in _DISTILL_FLAGS}
-    if mlm_only:
-        overrides["alpha_mlm"] = 1.0
+    fixed = _MLM_ONLY_WEIGHTS if mlm_only else {}
     if getattr(args, "config", None):
-        return load_distill_config(args.config, overrides)
-    return DistillConfig(**{k: v for k, v in overrides.items() if v is not None})
+        return load_distill_config(args.config, overrides, fixed)
+    return DistillConfig(**{k: v for k, v in overrides.items() if v is not None}, **fixed)
 
 
 def _print_training_result(out: Path, state: TrainState) -> int:

@@ -27,7 +27,7 @@ from .errors import (ConfigurationError, DimensionError, NoMaskedPositionsError,
                      TrainingDivergedError)
 from .model import (EncoderConfig, EncoderModel, clone_model, copy_embeddings_from,
                     forward_mlm, init_random, model_vocab_guard, set_frozen)
-from .optim import AdamW, clip_grad_norm
+from .optim import AdamW, train_step
 from .tokenizer import Vocab
 
 INIT_MODES = ("none", "copy", "copy_and_freeze")
@@ -135,7 +135,7 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
         model_vocab_guard(teacher, vocab)
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    dropout_rng = np.random.Generator(np.random.PCG64(cfg.seed + 1)) \
+    dropout = (cfg.dropout_rate, np.random.Generator(np.random.PCG64(cfg.seed + 1))) \
         if cfg.dropout_rate > 0 else None
     sequences = encode_corpus(corpus, vocab, cfg.max_len)
     params = student.trainable_params()
@@ -161,16 +161,10 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
                     teacher_logits = forward_mlm(teacher, batch.token_ids,
                                                  batch.attention_mask)
             student_logits = forward_mlm(student, batch.token_ids, batch.attention_mask,
-                                         dropout_rng=dropout_rng)
+                                         dropout)
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
-            if not np.isfinite(total.data):
-                raise TrainingDivergedError(
-                    f"non-finite loss {float(total.data)} at step {step + 1} (epoch {epoch})")
-            optimizer.zero_grad()
-            total.backward()
-            clip_grad_norm(params, cfg.clip_norm)
-            optimizer.step()
             step += 1
+            train_step(total, optimizer, params, cfg.clip_norm, step, epoch)
             kl_val, mlm_val = float(kl_part.item()), float(mlm_part.item())
             rows.append(LogRow(step, epoch,
                                cfg.alpha_kl * kl_val + cfg.alpha_mlm * mlm_val,
@@ -210,7 +204,6 @@ def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: Corpu
     model_vocab_guard(teacher, vocab)
     set_frozen(teacher, "all", True)
 
-    student_cfg = dataclasses.replace(student_cfg, dropout_rate=cfg.dropout_rate)
     student = init_random(student_cfg, cfg.seed)
     if init_from_teacher in ("copy", "copy_and_freeze"):
         copy_embeddings_from(student, teacher)
@@ -230,10 +223,8 @@ def pretrain_mlm(model_cfg: EncoderConfig, corpus: Corpus, cfg: DistillConfig,
                  vocab: Vocab, run_dir=None,
                  clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """Plain MLM training; the KL weight is forced to zero."""
-    cfg = _mlm_only(cfg)
-    model_cfg = dataclasses.replace(model_cfg, dropout_rate=cfg.dropout_rate)
     model = init_random(model_cfg, cfg.seed)
-    state = _train_mlm_loop(model, None, corpus, cfg, vocab, run_dir, clock)
+    state = _train_mlm_loop(model, None, corpus, _mlm_only(cfg), vocab, run_dir, clock)
     return model, state
 
 
@@ -302,8 +293,10 @@ def write_resolved_config(cfg: DistillConfig, path) -> None:
         parser.write(fh)
 
 
-def load_distill_config(path, overrides: dict | None = None) -> DistillConfig:
-    """Read a key = value config file; ``overrides`` win over file values."""
+def load_distill_config(path, overrides: dict | None = None,
+                        fixed: dict | None = None) -> DistillConfig:
+    """Read a key = value config file; ``overrides`` win over file values,
+    and a file value that contradicts one in ``fixed`` is an error."""
     parser = ConfigParser()
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -327,6 +320,10 @@ def load_distill_config(path, overrides: dict | None = None) -> DistillConfig:
             values[field.name] = parse(raw)
         except ValueError as exc:
             raise ConfigurationError(f"config key {key!r} has unreadable value {raw!r}") from exc
+    for name, value in (fixed or {}).items():
+        if values.get(name, value) != value:
+            raise ConfigurationError(
+                f"config key {name!r} in {path} must be {value!r} here, got {values[name]!r}")
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    return DistillConfig(**values)
+    return DistillConfig(**{**values, **(fixed or {})})

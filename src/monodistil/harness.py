@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass
@@ -12,14 +11,14 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .autograd import no_grad
+from .autograd import no_grad, parameters_finite
 from .data import IGNORE_ID, Corpus, make_labeled_batches, subsample
 from .distill import DistillConfig, condition_teacher, distill_run, write_resolved_config
-from .errors import ConfigurationError, EvaluationError
+from .errors import ConfigurationError, EvaluationError, TrainingDivergedError
 from .metrics import accuracy, span_f1
 from .model import (EncoderConfig, EncoderModel, Head, clone_model, forward_sequence_cls,
                     forward_token_cls, init_head, model_vocab_guard, parameter_groups)
-from .optim import AdamW, clip_grad_norm
+from .optim import AdamW, train_step
 from .tokenizer import Vocab
 
 BASELINE_NAME = "mBERT"
@@ -91,13 +90,13 @@ class ComparisonReport:
     avg_speedup: dict[str, float]
 
 
-def _finetune_loss(kind: str, model, head, batch, dropout_rng):
+def _finetune_loss(kind: str, model, head, batch, dropout):
     if kind == "classification":
         logits = forward_sequence_cls(model, head, batch.token_ids, batch.attention_mask,
-                                      batch.num_labels, dropout_rng)
+                                      batch.num_labels, dropout)
         return losses.cross_entropy(logits, batch.labels)
     logits = forward_token_cls(model, head, batch.token_ids, batch.attention_mask,
-                               batch.num_labels, dropout_rng)
+                               batch.num_labels, dropout)
     return losses.cross_entropy_masked(logits, batch.labels, batch.labels != IGNORE_ID)
 
 
@@ -156,7 +155,6 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
         kind=task.kind, label_map=label_map)
 
     tuned = clone_model(model)
-    tuned.config = dataclasses.replace(tuned.config, dropout_rate=task.dropout_rate)
     head_kind = "sequence" if task.kind == "classification" else "token"
     head = init_head(tuned.config, head_kind, len(label_map), task.seed)
     # the masked-LM head takes no part in downstream tasks
@@ -164,18 +162,19 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
     params = {k: v for k, v in tuned.trainable_params().items() if k not in mlm_keys}
     params.update(head.params())
     optimizer = AdamW(params, learning_rate=task.learning_rate)
-    dropout_rng = np.random.Generator(np.random.PCG64(task.seed + 1)) \
+    dropout = (task.dropout_rate, np.random.Generator(np.random.PCG64(task.seed + 1))) \
         if task.dropout_rate > 0 else None
 
+    step = 0
     start = clock()
-    for _ in range(task.epochs):
+    for epoch in range(1, task.epochs + 1):
         for batch in train_batches:
-            loss = _finetune_loss(task.kind, tuned, head, batch, dropout_rng)
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(params, 1.0)
-            optimizer.step()
+            step += 1
+            train_step(_finetune_loss(task.kind, tuned, head, batch, dropout),
+                       optimizer, params, 1.0, step, epoch)
     runtime = clock() - start
+    if not parameters_finite(params.values()):
+        raise TrainingDivergedError(f"parameters are non-finite after step {step}")
     if runtime <= 0:
         runtime = 1e-9
 

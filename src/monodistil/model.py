@@ -29,8 +29,6 @@ class EncoderConfig:
     num_heads: int
     max_positions: int
     vocab_size: int
-    dropout_rate: float = 0.1
-    tie_mlm_head: bool = False
 
     def __post_init__(self):
         for name in ("hidden_dim", "intermediate_size", "num_layers", "num_heads",
@@ -43,8 +41,6 @@ class EncoderConfig:
                 f"hidden_dim {self.hidden_dim} is not divisible by num_heads {self.num_heads}")
         if self.max_positions < 3:
             raise ConfigurationError(f"max_positions must be at least 3, got {self.max_positions}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         head_dim = self.hidden_dim // self.num_heads
         if head_dim % 8 != 0:
             warnings.warn(f"unusual head dimension {head_dim} (not a multiple of 8); "
@@ -77,8 +73,7 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"layer_{layer}_ffn_output_bias"] = (h,)
         shapes[f"layer_{layer}_ffn_norm_gain"] = (h,)
         shapes[f"layer_{layer}_ffn_norm_bias"] = (h,)
-    if not config.tie_mlm_head:
-        shapes["mlm_head_weight"] = (h, v)
+    shapes["mlm_head_weight"] = (h, v)
     shapes["mlm_head_bias"] = (v,)
     return shapes
 
@@ -97,8 +92,7 @@ def parameter_groups(config: EncoderConfig) -> dict[str, list[str]]:
                     ("attn_norm_gain", "attn_norm_bias", "ffn_inner_weight", "ffn_inner_bias",
                      "ffn_output_weight", "ffn_output_bias", "ffn_norm_gain", "ffn_norm_bias")]
         groups[f"layer_{layer}"] = members
-    head = [] if config.tie_mlm_head else ["mlm_head_weight"]
-    groups["mlm_head"] = head + ["mlm_head_bias"]
+    groups["mlm_head"] = ["mlm_head_weight", "mlm_head_bias"]
     return groups
 
 
@@ -155,17 +149,18 @@ def count_parameters_for_config(config: EncoderConfig) -> int:
     return sum(int(np.prod(s)) for s in parameter_shapes(config).values())
 
 
-def _maybe_dropout(x: Tensor, model: EncoderModel, rng) -> Tensor:
-    if rng is None or model.config.dropout_rate == 0.0:
+def _maybe_dropout(x: Tensor, dropout) -> Tensor:
+    if dropout is None:
         return x
-    return ag.dropout(x, model.config.dropout_rate, rng)
+    return ag.dropout(x, *dropout)
 
 
 def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
-                  attention_mask: np.ndarray, dropout_rng=None) -> Tensor:
+                  attention_mask: np.ndarray, dropout=None) -> Tensor:
     """Run the encoder stack; returns hidden states [batch, seq, hidden].
 
-    ``dropout_rng`` enables training-mode dropout; None means inference.
+    ``dropout`` is a ``(rate, rng)`` pair for training-mode dropout; None
+    means inference.
     """
     cfg = model.config
     token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -187,7 +182,7 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
     pos = ag.slice_leading(model["position_embedding"], seq)
     h = tok + pos.reshape((1, seq, cfg.hidden_dim))
     h = ag.layer_norm(h, model["embedding_norm_gain"], model["embedding_norm_bias"])
-    h = _maybe_dropout(h, model, dropout_rng)
+    h = _maybe_dropout(h, dropout)
 
     # keys at PAD positions are unreachable for every query
     bias = np.where(attention_mask, 0.0, ATTENTION_MASK_BIAS).astype(np.float32)
@@ -208,9 +203,9 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
         v = split_heads(proj("value", h))
         scores = ag.matmul(q, k.transpose((0, 1, 3, 2))) * scale + bias
         attn = ag.softmax(scores, axis=-1)
-        attn = _maybe_dropout(attn, model, dropout_rng)
+        attn = _maybe_dropout(attn, dropout)
         ctx = ag.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((batch, seq, cfg.hidden_dim))
-        attn_out = _maybe_dropout(proj("attn_output", ctx), model, dropout_rng)
+        attn_out = _maybe_dropout(proj("attn_output", ctx), dropout)
         h = ag.layer_norm(h + attn_out,
                           model[f"layer_{layer}_attn_norm_gain"],
                           model[f"layer_{layer}_attn_norm_bias"])
@@ -219,7 +214,7 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
             + model[f"layer_{layer}_ffn_inner_bias"]
         ffn = ag.matmul(inner.gelu(), model[f"layer_{layer}_ffn_output_weight"]) \
             + model[f"layer_{layer}_ffn_output_bias"]
-        ffn = _maybe_dropout(ffn, model, dropout_rng)
+        ffn = _maybe_dropout(ffn, dropout)
         h = ag.layer_norm(h + ffn,
                           model[f"layer_{layer}_ffn_norm_gain"],
                           model[f"layer_{layer}_ffn_norm_bias"])
@@ -227,14 +222,10 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
 
 
 def forward_mlm(model: EncoderModel, token_ids: np.ndarray, attention_mask: np.ndarray,
-                dropout_rng=None) -> Tensor:
+                dropout=None) -> Tensor:
     """Vocabulary logits [batch, seq, vocab] from corrupted inputs."""
-    h = encode_hidden(model, token_ids, attention_mask, dropout_rng)
-    if model.config.tie_mlm_head:
-        weight = model["token_embedding"].transpose((1, 0))
-    else:
-        weight = model["mlm_head_weight"]
-    return ag.matmul(h, weight) + model["mlm_head_bias"]
+    h = encode_hidden(model, token_ids, attention_mask, dropout)
+    return ag.matmul(h, model["mlm_head_weight"]) + model["mlm_head_bias"]
 
 
 @dataclass
@@ -273,21 +264,21 @@ def _check_head(head: Head, kind: str, num_labels: int):
 
 
 def forward_sequence_cls(model: EncoderModel, head: Head, token_ids, attention_mask,
-                         num_labels: int | None = None, dropout_rng=None) -> Tensor:
+                         num_labels: int | None = None, dropout=None) -> Tensor:
     """Class logits [batch, classes] read off the first (CLS) position."""
     if num_labels is not None:
         _check_head(head, "sequence", num_labels)
-    h = encode_hidden(model, token_ids, attention_mask, dropout_rng)
+    h = encode_hidden(model, token_ids, attention_mask, dropout)
     cls = ag.select(h, axis=1, index=0)
     return ag.matmul(cls, head.weight) + head.bias
 
 
 def forward_token_cls(model: EncoderModel, head: Head, token_ids, attention_mask,
-                      num_labels: int | None = None, dropout_rng=None) -> Tensor:
+                      num_labels: int | None = None, dropout=None) -> Tensor:
     """Tag logits [batch, seq, tags] over every position."""
     if num_labels is not None:
         _check_head(head, "token", num_labels)
-    h = encode_hidden(model, token_ids, attention_mask, dropout_rng)
+    h = encode_hidden(model, token_ids, attention_mask, dropout)
     return ag.matmul(h, head.weight) + head.bias
 
 

@@ -1,4 +1,4 @@
-"""Adam with decoupled weight decay, plus global-norm gradient clipping."""
+"""AdamW, global-norm gradient clipping, and the one training step every loop takes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .autograd import Tensor
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, TrainingDivergedError, UsageError
 
 
 class AdamW:
@@ -89,3 +89,15 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
         for g in grads:
             g *= scale
     return norm
+
+
+def train_step(loss: Tensor, optimizer: AdamW, params: dict[str, Tensor], clip_norm: float,
+               step: int, epoch: int) -> None:
+    """Backward, clip and update; a non-finite loss raises before any gradient exists."""
+    if not np.isfinite(loss.data):
+        raise TrainingDivergedError(
+            f"non-finite loss {float(loss.data)} at step {step} (epoch {epoch})")
+    optimizer.zero_grad()
+    loss.backward()
+    clip_grad_norm(params, clip_norm)
+    optimizer.step()

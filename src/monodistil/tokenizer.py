@@ -194,20 +194,19 @@ def encode(text: str, vocab: Vocab, max_len: int) -> EncodedSequence:
 def encode_words(words: list[str], vocab: Vocab, max_len: int) -> tuple[EncodedSequence, list[int | None]]:
     """Encode a pre-split word list, reporting each word's first-piece position.
 
-    Words that no longer fit whole within ``max_len`` are dropped and map
-    to ``None``; the caller aligns per-word labels through the returned
-    positions.
+    The kept words are the longest prefix that fits whole within ``max_len``;
+    every later word maps to ``None``. The caller aligns per-word labels
+    through the returned positions.
     """
     if max_len < 3:
         raise ConfigurationError(f"max_len must be at least 3, got {max_len}")
     ids = [vocab.cls_id]
-    positions: list[int | None] = []
-    for word in words:
+    positions: list[int | None] = [None] * len(words)
+    for i, word in enumerate(words):
         pieces = tokenize_word(_normalize(word), vocab)
         if len(ids) + len(pieces) > max_len - 1:
-            positions.append(None)
-            continue
-        positions.append(len(ids))
+            break
+        positions[i] = len(ids)
         ids.extend(vocab.token_to_id[p] for p in pieces)
     ids.append(vocab.sep_id)
     n_real = len(ids)

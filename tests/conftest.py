@@ -26,7 +26,7 @@ def small_vocab(small_bundle):
 def tiny_cfg(small_vocab):
     return EncoderConfig(hidden_dim=16, intermediate_size=32, num_layers=1,
                          num_heads=2, max_positions=16,
-                         vocab_size=len(small_vocab), dropout_rate=0.0)
+                         vocab_size=len(small_vocab))
 
 
 @pytest.fixture()

@@ -163,8 +163,7 @@ def test_criterion_1_gradient_correctness(capsys):
         assert not bad_ops, f"op gradients above tolerance: {bad_ops}"
 
         cfg = EncoderConfig(hidden_dim=16, intermediate_size=16, num_layers=1,
-                            num_heads=2, max_positions=8, vocab_size=24,
-                            dropout_rate=0.0)
+                            num_heads=2, max_positions=8, vocab_size=24)
         model = init_random(cfg, seed=5)
         corrupted, attention, mlm_mask, original = _mini_mlm_inputs()
 
@@ -296,14 +295,14 @@ def test_criterion_4_desk_scale_efficacy(capsys, tmp_path):
         vocab = train_vocab(bundle.mixed.documents, 600)
         teacher_cfg = EncoderConfig(hidden_dim=64, intermediate_size=256, num_layers=2,
                                     num_heads=4, max_positions=64,
-                                    vocab_size=len(vocab), dropout_rate=0.0)
+                                    vocab_size=len(vocab))
         pretrain_cfg = DistillConfig(alpha_kl=0.0, alpha_mlm=1.0, epochs=8,
                                      batch_size=32, learning_rate=3e-3, seed=0)
         teacher, _ = pretrain_mlm(teacher_cfg, bundle.mixed, pretrain_cfg, vocab)
 
         student_cfg = EncoderConfig(hidden_dim=32, intermediate_size=128, num_layers=1,
                                     num_heads=4, max_positions=64,
-                                    vocab_size=len(vocab), dropout_rate=0.0)
+                                    vocab_size=len(vocab))
         distilled, _ = distill_run(teacher, student_cfg, bundle.lang_a,
                                    DistillConfig(), vocab)
         scratch, _ = pretrain_mlm(student_cfg, bundle.lang_a, DistillConfig(), vocab)

@@ -57,6 +57,19 @@ class TestRoundTrip:
         assert meta["head"] is None
         assert meta["frozen_groups"] == []
 
+    def test_manifest_with_training_keys_still_loads(self, saved, tiny_model, small_vocab):
+        # manifests once also stored the dropout rate and the tied-head flag
+        manifest = saved / "manifest"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("[config]\n",
+                                         "[config]\ndropout_rate = 0.1\ntie_mlm_head = false\n"),
+                            encoding="utf-8")
+        assert "tie_mlm_head = false" in manifest.read_text(encoding="utf-8")
+        loaded = load_checkpoint(saved, small_vocab)
+        assert loaded.config == tiny_model.config
+        for name in tiny_model.params:
+            np.testing.assert_array_equal(loaded[name].data, tiny_model[name].data)
+
     def test_frozen_groups_restored(self, tmp_path, tiny_cfg, small_vocab):
         model = init_random(tiny_cfg, seed=0)
         set_frozen(model, "embeddings", True)

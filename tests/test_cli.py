@@ -120,6 +120,18 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("TrainingDivergedError:")
         assert not (tmp_path / "ckpt").exists()
 
+    def test_diverging_finetune_fails_and_saves_nothing(self, cli_env, student_ckpt,
+                                                        tmp_path, capsys):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = main(["finetune", "--run-dir", str(tmp_path / "r"),
+                       "--model", student_ckpt, "--vocab", cli_env["vocab"],
+                       "--train", cli_env["cls_train"], "--eval", cli_env["cls_eval"],
+                       "--task-kind", "classification", "--max-len", "16",
+                       "--ft-lr", "1e6", "--out", str(tmp_path / "ckpt")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("TrainingDivergedError:")
+        assert not (tmp_path / "ckpt").exists()
+
     def test_unknown_flag(self, capsys):
         assert main(["distill", "--frobnicate"]) == 2
 
@@ -147,6 +159,33 @@ class TestConfigPrecedence:
         resolved = load_distill_config(run / "config.resolved")
         assert resolved.epochs == 1
         assert resolved.batch_size == 4
+
+    @pytest.mark.parametrize("line", ["alpha_mlm = 0.3", "alpha_kl = 0.5"])
+    @pytest.mark.parametrize("command", ["pretrain", "condition"])
+    def test_mlm_only_commands_reject_other_loss_weights(self, cli_env, tmp_path, capsys,
+                                                         command, line):
+        cfg_file = tmp_path / "weights.ini"
+        cfg_file.write_text(f"[distill]\n{line}\n", encoding="utf-8")
+        inputs = (["--teacher", cli_env["teacher"]] if command == "condition" else ARCH)
+        rc = main([command, "--run-dir", str(tmp_path / "r"), "--config", str(cfg_file),
+                   *inputs, "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"],
+                   *TRAIN, "--out", str(tmp_path / "ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigurationError:")
+        assert repr(line.split()[0]) in err
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_pretrain_reruns_from_its_resolved_config(self, cli_env, tmp_path):
+        resolved = cli_env["root"] / "run_pretrain" / "config.resolved"
+        out = tmp_path / "teacher"
+        rc = main(["pretrain", "--run-dir", str(tmp_path / "r"), "--config", str(resolved),
+                   "--corpus", str(cli_env["data"] / "corpus_mixed.txt"),
+                   "--vocab", cli_env["vocab"], *ARCH, "--out", str(out)])
+        assert rc == 0
+        assert load_distill_config(tmp_path / "r" / "config.resolved") == \
+            load_distill_config(resolved)
+        assert checkpoint_digest(out) == checkpoint_digest(cli_env["teacher"])
 
 
 class TestDeterminism:

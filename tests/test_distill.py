@@ -278,6 +278,15 @@ class TestConditioning:
                                 max_len=16, seed=5)
         assert tuned["masked_ce"] <= base["masked_ce"]
 
+    def test_configured_dropout_rate_is_applied(self, tiny_cfg, small_bundle, small_vocab):
+        teacher = init_random(tiny_cfg, seed=21)
+        hashes = []
+        for rate in (0.0, 0.3):
+            cfg = DistillConfig(epochs=1, batch_size=8, max_len=16, seed=0, dropout_rate=rate)
+            conditioned, _ = condition_teacher(teacher, small_bundle.lang_a, cfg, small_vocab)
+            hashes.append(_model_hash(conditioned))
+        assert hashes[0] != hashes[1]
+
 
 class TestEvaluateMasked:
     def test_deterministic_and_counts_positions(self, tiny_model, small_bundle, small_vocab):

@@ -19,7 +19,6 @@ from monodistil.model import (
     init_head,
     init_random,
     model_vocab_guard,
-    parameter_shapes,
     set_frozen,
 )
 from monodistil.optim import AdamW
@@ -39,7 +38,7 @@ def _toy_batch(vocab_size, batch=2, seq=8, seed=0, n_pad=2):
 class TestConfigValidation:
     def test_hidden_must_divide_heads(self):
         with pytest.raises(ConfigurationError):
-            EncoderConfig(30, 64, 1, 4, 16, 40, dropout_rate=0.0)
+            EncoderConfig(30, 64, 1, 4, 16, 40)
 
     def test_positive_dimensions(self):
         with pytest.raises(ConfigurationError):
@@ -47,24 +46,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             EncoderConfig(16, 64, -1, 2, 16, 40)
 
-    def test_dropout_range(self):
-        with pytest.raises(ConfigurationError):
-            EncoderConfig(16, 64, 1, 2, 16, 40, dropout_rate=1.0)
-
     def test_odd_head_dim_warns(self):
         with pytest.warns(UserWarning):
-            EncoderConfig(12, 24, 1, 2, 16, 40, dropout_rate=0.0)
+            EncoderConfig(12, 24, 1, 2, 16, 40)
 
     def test_more_layers_more_parameters(self):
-        one = count_parameters_for_config(EncoderConfig(16, 32, 1, 2, 16, 40, dropout_rate=0.0))
-        two = count_parameters_for_config(EncoderConfig(16, 32, 2, 2, 16, 40, dropout_rate=0.0))
+        one = count_parameters_for_config(EncoderConfig(16, 32, 1, 2, 16, 40))
+        two = count_parameters_for_config(EncoderConfig(16, 32, 2, 2, 16, 40))
         assert two > one
 
 
 class TestParameterAccounting:
     def test_closed_form_single_layer_count(self):
         h, i, v, p = 16, 32, 40, 16
-        cfg = EncoderConfig(h, i, 1, 2, p, v, dropout_rate=0.0)
+        cfg = EncoderConfig(h, i, 1, 2, p, v)
         expected = (
             v * h + p * h + 2 * h          # embeddings and their norm
             + 4 * (h * h + h)              # q, k, v, output projections
@@ -75,14 +70,6 @@ class TestParameterAccounting:
         )
         assert count_parameters_for_config(cfg) == expected
         assert count_parameters(init_random(cfg, 0)) == expected
-
-    def test_tied_head_drops_projection(self):
-        h, v = 16, 40
-        untied = EncoderConfig(h, 32, 1, 2, 16, v, dropout_rate=0.0)
-        tied = EncoderConfig(h, 32, 1, 2, 16, v, dropout_rate=0.0, tie_mlm_head=True)
-        diff = count_parameters_for_config(untied) - count_parameters_for_config(tied)
-        assert diff == h * v
-        assert "mlm_head_weight" not in parameter_shapes(tied)
 
     def test_same_seed_same_init(self, tiny_cfg):
         a = init_random(tiny_cfg, seed=7)
@@ -160,7 +147,7 @@ class TestForward:
             encode_hidden(tiny_model, bad, mask)
 
     def test_vocab_guard(self, small_vocab):
-        cfg = EncoderConfig(16, 32, 1, 2, 16, len(small_vocab) + 1, dropout_rate=0.0)
+        cfg = EncoderConfig(16, 32, 1, 2, 16, len(small_vocab) + 1)
         model = init_random(cfg, seed=0)
         with pytest.raises(DimensionError):
             model_vocab_guard(model, small_vocab)
@@ -232,7 +219,7 @@ class TestEmbeddingCopyAndFreeze:
         teacher = init_random(tiny_cfg, seed=0)
         short_cfg = EncoderConfig(tiny_cfg.hidden_dim, tiny_cfg.intermediate_size,
                                   tiny_cfg.num_layers, tiny_cfg.num_heads, 8,
-                                  tiny_cfg.vocab_size, dropout_rate=0.0)
+                                  tiny_cfg.vocab_size)
         student = init_random(short_cfg, seed=1)
         copy_embeddings_from(student, teacher)
         assert (student["position_embedding"].data ==
@@ -240,7 +227,7 @@ class TestEmbeddingCopyAndFreeze:
 
     def test_copy_rejects_width_mismatch(self, tiny_cfg):
         teacher = init_random(tiny_cfg, seed=0)
-        wide_cfg = EncoderConfig(32, 64, 1, 2, 16, tiny_cfg.vocab_size, dropout_rate=0.0)
+        wide_cfg = EncoderConfig(32, 64, 1, 2, 16, tiny_cfg.vocab_size)
         student = init_random(wide_cfg, seed=1)
         with pytest.raises(DimensionError):
             copy_embeddings_from(student, teacher)
@@ -248,7 +235,7 @@ class TestEmbeddingCopyAndFreeze:
     def test_copy_rejects_vocab_mismatch(self, tiny_cfg):
         teacher = init_random(tiny_cfg, seed=0)
         other = EncoderConfig(tiny_cfg.hidden_dim, tiny_cfg.intermediate_size, 1, 2, 16,
-                              tiny_cfg.vocab_size + 5, dropout_rate=0.0)
+                              tiny_cfg.vocab_size + 5)
         student = init_random(other, seed=1)
         with pytest.raises(DimensionError):
             copy_embeddings_from(student, teacher)

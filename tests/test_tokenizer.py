@@ -157,6 +157,15 @@ class TestEncodeWords:
         assert positions == [1, None]
         assert enc.token_ids[4] == vocab.sep_id
 
+    def test_kept_words_are_a_contiguous_prefix(self):
+        # the short word after the long one would fit, but keeping it would
+        # leave a gap in the labelled sentence
+        vocab = _plain_vocab(["a", "##a"])
+        enc, positions = encode_words(["a", "aaaa", "a"], vocab, max_len=6)
+        assert positions == [1, None, None]
+        assert enc.token_ids[2] == vocab.sep_id
+        assert int(enc.attention_mask.sum()) == 3
+
 
 class TestDecode:
     def test_out_of_range_id_rejected(self):
