@@ -12,7 +12,6 @@ import contextlib
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigurationError, DimensionError, UsageError
 
@@ -21,6 +20,11 @@ _DEFAULT_DTYPE = np.float32
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT2PI = 0.3989422804014327
+
+# Abramowitz & Stegun 7.1.26: erf(z) = 1 - t*(a1 + t*(a2 + ... + t*a5)) * exp(-z^2)
+# with t = 1 / (1 + p*z) for z >= 0; absolute error below 1.5e-7
+_ERF_P = 0.3275911
+_ERF_A = (0.254829592, -0.284496736, 1.421413741, -1.453152027, 1.061405429)
 
 
 @contextlib.contextmanager
@@ -116,8 +120,12 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy in the layout of data, not of g: a transposed g would
+            # change the summation order of later reductions
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -304,16 +312,42 @@ class Tensor:
         return out
 
     def gelu(self):
-        """Gaussian error linear unit, exact erf form."""
+        """Gaussian error linear unit, exact erf form: x * Phi(x).
+
+        Phi comes from the A&S 7.1.26 erf in the input dtype; the backward
+        reuses the forward's exp(-x^2/2) for the normal density.
+        """
         a = self
         x = self.data
-        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-        out_data = (x * cdf).astype(x.dtype)
+        gauss = np.square(x)
+        gauss *= -0.5
+        np.exp(gauss, out=gauss)
+        t = np.abs(x)
+        t *= _ERF_P * _INV_SQRT2
+        t += 1.0
+        np.reciprocal(t, out=t)
+        tail = t * _ERF_A[4]
+        for coef in _ERF_A[3::-1]:
+            tail += coef
+            tail *= t
+        tail *= gauss
+        # tail is erfc(|x|/sqrt2) = 2 * Phi(-|x|). With s = sign(x), Phi(x) is
+        # ((1 + s) - s * tail) / 2, exact for negative x, where 1 - tail would cancel
+        cdf = np.sign(x)
+        tail *= cdf
+        cdf += 1.0
+        cdf -= tail
+        cdf *= 0.5
+        out_data = x * cdf
 
         def back():
             if a.requires_grad:
-                pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-                a._accumulate(out.grad * (cdf + a.data * pdf).astype(a.data.dtype))
+                # cdf and gauss stay untouched so a second backward sees them intact
+                d = x * gauss
+                d *= _INV_SQRT2PI
+                d += cdf
+                d *= out.grad
+                a._accumulate(d)
 
         out = Tensor._from_result(out_data, (a,), back)
         return out

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 for configuration/usage/data problems, 1 for
 any other failure. Errors print a single ``Class: message`` line on
 stderr. Each invocation owns one run directory (under $MONODISTIL_RUNS
-or ./runs unless --run-dir is given) holding a manifest with input
-digests, the resolved config, logs, checkpoints, and reports.
+or ./runs unless --run-dir is given) holding a manifest with input and
+output digests, the resolved config, logs, checkpoints, and reports.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import time
 from configparser import ConfigParser
 from pathlib import Path
 
-from .checkpoint import load_checkpoint, load_finetuned, save_checkpoint
+from .checkpoint import checkpoint_digest, load_checkpoint, load_finetuned, save_checkpoint
 from .data import load_corpus, subsample
 from .distill import (DistillConfig, TrainState, condition_teacher, distill_run,
                       load_distill_config, pretrain_mlm)
@@ -48,7 +48,11 @@ def _file_digest(path) -> str:
 
 
 def prepare_run(subcommand: str, args, inputs: list) -> Path:
-    """Create the run directory and record the manifest before any work."""
+    """Create the run directory and record the manifest before any work.
+
+    A file input is recorded by its sha256, a checkpoint directory by its
+    ``checkpoint_digest``, and a pipe as ``stream``.
+    """
     if getattr(args, "run_dir", None):
         run_dir = Path(args.run_dir)
     else:
@@ -71,11 +75,27 @@ def prepare_run(subcommand: str, args, inputs: list) -> Path:
         p = Path(item)
         if not p.exists():
             raise DataError(f"input does not exist: {p}")
-        digests[str(p)] = _file_digest(p) if p.is_file() else "directory"
+        if p.is_dir():
+            digests[str(p)] = checkpoint_digest(p)
+        elif p.is_file():
+            digests[str(p)] = _file_digest(p)
+        else:
+            # a pipe can be read only once, and the command needs it
+            digests[str(p)] = "stream"
     parser["inputs"] = digests
     with open(run_dir / "manifest", "w", encoding="utf-8") as fh:
         parser.write(fh)
     return run_dir
+
+
+def _save_output(run_dir: Path, out: Path, model, vocab, **meta) -> None:
+    """Save the checkpoint, then append its digest to the run manifest."""
+    save_checkpoint(model, out, vocab, **meta)
+    parser = ConfigParser()
+    parser.optionxform = str
+    parser["outputs"] = {str(out): checkpoint_digest(out)}
+    with open(run_dir / "manifest", "a", encoding="utf-8") as fh:
+        parser.write(fh)
 
 
 def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
@@ -155,7 +175,7 @@ def cmd_pretrain(args) -> int:
     model_cfg = _encoder_config(args, vocab)
     model, state = pretrain_mlm(model_cfg, corpus, cfg, vocab, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
-    save_checkpoint(model, out, vocab, seed=cfg.seed, source="pretrain")
+    _save_output(run_dir, out, model, vocab, seed=cfg.seed, source="pretrain")
     return _print_training_result(out, state)
 
 
@@ -172,7 +192,7 @@ def cmd_distill(args) -> int:
     student, state = distill_run(teacher, student_cfg, corpus, cfg, vocab,
                                  init_from_teacher=init_mode, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
-    save_checkpoint(student, out, vocab, seed=cfg.seed, source="distill")
+    _save_output(run_dir, out, student, vocab, seed=cfg.seed, source="distill")
     return _print_training_result(out, state)
 
 
@@ -184,7 +204,7 @@ def cmd_condition(args) -> int:
     cfg = _resolve_distill_config(args, mlm_only=True)
     conditioned, state = condition_teacher(teacher, corpus, cfg, vocab, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
-    save_checkpoint(conditioned, out, vocab, seed=cfg.seed, source="condition")
+    _save_output(run_dir, out, conditioned, vocab, seed=cfg.seed, source="condition")
     return _print_training_result(out, state)
 
 
@@ -195,7 +215,7 @@ def cmd_finetune(args) -> int:
     task = _task_spec(args)
     tuned, head, report = finetune(model, task, vocab, args.model_name)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
-    save_checkpoint(tuned, out, vocab, seed=task.seed, source="finetune", head=head)
+    _save_output(run_dir, out, tuned, vocab, seed=task.seed, source="finetune", head=head)
     metrics_path = run_dir / "metrics.csv"
     metrics_path.write_text(
         "model,task,metric_name,metric_value,runtime_seconds,seed,config_hash\n"

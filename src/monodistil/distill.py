@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses
-from .autograd import Tensor, gather_rows, no_grad, parameters_finite
+from .autograd import Tensor, no_grad, parameters_finite
 from .data import Corpus, MaskedBatch, encode_corpus, make_mlm_batch
 from .errors import (ConfigurationError, DimensionError, NoMaskedPositionsError,
                      TrainingDivergedError)
@@ -98,29 +98,34 @@ def distill_loss(student_logits: Tensor, teacher_logits: Tensor | None,
                  batch: MaskedBatch, cfg: DistillConfig) -> tuple[Tensor, Tensor, Tensor]:
     """Combined objective and its two parts, all scalars.
 
-    kl is KL(student || teacher) at the configured temperature T, times
-    T^2, so total = alpha_kl * kl + alpha_mlm * mlm holds as logged. A
-    part whose weight is zero is not computed and comes back as 0;
-    teacher_logits may be None only when alpha_kl is zero.
+    The logits are [n_masked, vocab] rows at ``batch.mlm_mask``, as
+    ``forward_mlm(..., rows=batch.mlm_mask)`` returns them. kl is
+    KL(student || teacher) at the configured temperature T, times T^2, so
+    total = alpha_kl * kl + alpha_mlm * mlm holds as logged. A part whose
+    weight is zero is not computed and comes back as 0; teacher_logits
+    may be None only when alpha_kl is zero.
     """
-    if not batch.mlm_mask.any():
+    n_masked = int(batch.mlm_mask.sum())
+    if n_masked == 0:
         raise NoMaskedPositionsError("no supervised positions: every mask entry is false")
+    if student_logits.ndim != 2 or student_logits.shape[0] != n_masked:
+        raise DimensionError(
+            f"student logits {student_logits.shape} must be [{n_masked}, vocab], "
+            "one row per masked position")
     kl_part = mlm_part = Tensor(np.zeros((), dtype=student_logits.data.dtype))
     terms = []
     if cfg.alpha_kl > 0:
         if teacher_logits is None:
             raise ConfigurationError("teacher logits are required when alpha_kl > 0")
-        if student_logits.data.shape != teacher_logits.data.shape:
+        if student_logits.shape != teacher_logits.shape:
             raise DimensionError(
-                f"student logits {student_logits.data.shape} and teacher logits "
-                f"{teacher_logits.data.shape} must match")
-        kl_part = losses.kl_divergence(gather_rows(student_logits, batch.mlm_mask),
-                                       gather_rows(teacher_logits, batch.mlm_mask),
+                f"student logits {student_logits.shape} and teacher logits "
+                f"{teacher_logits.shape} must match")
+        kl_part = losses.kl_divergence(student_logits, teacher_logits,
                                        cfg.temperature) * (cfg.temperature * cfg.temperature)
         terms.append(kl_part * cfg.alpha_kl)
     if cfg.alpha_mlm > 0:
-        mlm_part = losses.cross_entropy_masked(student_logits, batch.original_ids,
-                                               batch.mlm_mask)
+        mlm_part = losses.cross_entropy(student_logits, batch.original_ids[batch.mlm_mask])
         terms.append(mlm_part * cfg.alpha_mlm)
     return sum(terms[1:], terms[0]), kl_part, mlm_part
 
@@ -158,10 +163,10 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
             teacher_logits = None
             if cfg.alpha_kl > 0:
                 with no_grad():
-                    teacher_logits = forward_mlm(teacher, batch.token_ids,
-                                                 batch.attention_mask)
+                    teacher_logits = forward_mlm(teacher, batch.token_ids, batch.attention_mask,
+                                                 rows=batch.mlm_mask)
             student_logits = forward_mlm(student, batch.token_ids, batch.attention_mask,
-                                         dropout)
+                                         dropout, rows=batch.mlm_mask)
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
             step += 1
             train_step(total, optimizer, params, cfg.clip_norm, step, epoch)
@@ -257,11 +262,12 @@ def evaluate_masked(model: EncoderModel, corpus: Corpus, vocab: Vocab,
         n = int(batch.mlm_mask.sum())
         if n == 0:
             continue
-        with no_grad():
-            logits = forward_mlm(model, batch.token_ids, batch.attention_mask)
-            ce = losses.cross_entropy_masked(logits, batch.original_ids, batch.mlm_mask)
-        predictions = logits.data[batch.mlm_mask].argmax(axis=-1)
         gold = batch.original_ids[batch.mlm_mask]
+        with no_grad():
+            logits = forward_mlm(model, batch.token_ids, batch.attention_mask,
+                                 rows=batch.mlm_mask)
+            ce = losses.cross_entropy(logits, gold)
+        predictions = logits.data.argmax(axis=-1)
         total_ce += float(ce.item()) * n
         total_correct += int((predictions == gold).sum())
         total_positions += n

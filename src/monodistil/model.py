@@ -222,9 +222,15 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
 
 
 def forward_mlm(model: EncoderModel, token_ids: np.ndarray, attention_mask: np.ndarray,
-                dropout=None) -> Tensor:
-    """Vocabulary logits [batch, seq, vocab] from corrupted inputs."""
+                dropout=None, rows: np.ndarray | None = None) -> Tensor:
+    """Vocabulary logits [batch, seq, vocab] from corrupted inputs.
+
+    With a boolean ``rows`` mask over [batch, seq], only those positions
+    reach the head: the result is [n_rows, vocab] in C order of the mask.
+    """
     h = encode_hidden(model, token_ids, attention_mask, dropout)
+    if rows is not None:
+        h = ag.gather_rows(h, rows)
     return ag.matmul(h, model["mlm_head_weight"]) + model["mlm_head_bias"]
 
 

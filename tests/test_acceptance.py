@@ -189,7 +189,8 @@ def test_criterion_1_gradient_correctness(capsys):
         batch = MaskedBatch(corrupted, attention, mlm_mask, original)
         combined_cfg = DistillConfig(alpha_kl=0.5, alpha_mlm=0.5, temperature=2.0)
         logits_err = _checked(
-            lambda t: distill_loss(t, teacher_logits, batch, combined_cfg)[0],
+            lambda t: distill_loss(gather_rows(t, mlm_mask),
+                                   gather_rows(teacher_logits, mlm_mask), batch, combined_cfg)[0],
             Tensor(_rng(13).normal(size=(2, 6, 24))))
         assert logits_err <= GRAD_TOL
 
@@ -198,7 +199,9 @@ def test_criterion_1_gradient_correctness(capsys):
             model.params["token_embedding"] = probe
             try:
                 student_logits = forward_mlm(model, corrupted, attention)
-                return distill_loss(student_logits, teacher_logits, batch, combined_cfg)[0]
+                return distill_loss(gather_rows(student_logits, mlm_mask),
+                                    gather_rows(teacher_logits, mlm_mask),
+                                    batch, combined_cfg)[0]
             finally:
                 model.params["token_embedding"] = saved
 
@@ -232,7 +235,8 @@ def test_criterion_2_objective_algebra(capsys):
         batch = MaskedBatch(g.integers(0, vocab_size, size=(2, 6)).astype(np.int64),
                             np.ones((2, 6), dtype=bool), mlm_mask, original)
         cfg = DistillConfig(alpha_kl=0.5, alpha_mlm=0.5, temperature=2.0)
-        total, kl_part, mlm_part = distill_loss(Tensor(student), Tensor(teacher), batch, cfg)
+        total, kl_part, mlm_part = distill_loss(gather_rows(Tensor(student), mlm_mask),
+                                                gather_rows(Tensor(teacher), mlm_mask), batch, cfg)
 
         picked = [(b, p) for b in range(2) for p in range(6) if mlm_mask[b, p]]
         kl_sum = 0.0
@@ -250,16 +254,20 @@ def test_criterion_2_objective_algebra(capsys):
         assert mlm_part.item() == pytest.approx(oracle_ce, abs=1e-6)
         assert total.item() == pytest.approx(oracle_total, abs=1e-6)
 
-        _, kl_same, _ = distill_loss(Tensor(student), Tensor(student.copy()), batch, cfg)
+        _, kl_same, _ = distill_loss(gather_rows(Tensor(student), mlm_mask),
+                                     gather_rows(Tensor(student.copy()), mlm_mask), batch, cfg)
         assert kl_same.item() == 0.0
 
         ce_only_cfg = DistillConfig(alpha_kl=0.0, alpha_mlm=1.0, temperature=2.0)
-        ce_only, _, _ = distill_loss(Tensor(student), None, batch, ce_only_cfg)
+        ce_only, _, _ = distill_loss(gather_rows(Tensor(student), mlm_mask), None, batch,
+                                     ce_only_cfg)
         direct_ce = losses.cross_entropy_masked(Tensor(student), original, mlm_mask)
         assert ce_only.item() == direct_ce.item()
 
         kl_only_cfg = DistillConfig(alpha_kl=1.0, alpha_mlm=0.0, temperature=2.0)
-        kl_only, kl_ref, _ = distill_loss(Tensor(student), Tensor(teacher), batch, kl_only_cfg)
+        kl_only, kl_ref, _ = distill_loss(gather_rows(Tensor(student), mlm_mask),
+                                          gather_rows(Tensor(teacher), mlm_mask), batch,
+                                          kl_only_cfg)
         assert kl_only.item() == kl_ref.item()
         info["detail"] = f"oracle gap {abs(total.item() - oracle_total):.1e}"
 

@@ -1,5 +1,7 @@
 """Tape mechanics, broadcasting, and gradient verification for the tensor core."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -225,3 +227,30 @@ def test_finite_outputs_on_finite_inputs():
     x = Tensor((_rng(14).standard_normal((3, 5)) * 30).astype(np.float32))
     for out in (softmax(x), log_softmax(x), x.gelu(), x.exp() * 0 + x.sum()):
         assert np.isfinite(out.data).all()
+
+
+def _gelu_reference(x: float) -> tuple[float, float]:
+    """float64 value and derivative of x * Phi(x) from the stdlib erf."""
+    cdf = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return x * cdf, cdf + x * pdf
+
+
+def test_gelu_matches_exact_erf_form():
+    x = Tensor(np.linspace(-10.0, 10.0, 40001).astype(np.float32), requires_grad=True)
+    y = x.gelu()
+    (y * 1.0).sum().backward()
+    reference = np.array([_gelu_reference(float(v)) for v in x.data])
+    assert y.data.dtype == np.float32 and x.grad.dtype == np.float32
+    assert np.abs(y.data - reference[:, 0]).max() < 1e-6
+    assert np.abs(x.grad - reference[:, 1]).max() < 1e-6
+
+
+def test_gelu_repeated_backward_accumulates():
+    x = Tensor(np.linspace(-4.0, 4.0, 97).astype(np.float32), requires_grad=True)
+    y = x.gelu().sum()
+    y.backward()
+    first = x.grad.copy()
+    y.backward()
+    # the second pass sees seeds 1 (y) + 2 (gelu output) on top of the first
+    np.testing.assert_array_equal(x.grad, 4.0 * first)

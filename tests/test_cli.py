@@ -1,6 +1,7 @@
 """End-to-end command line flows, run directories, and exit codes."""
 
 import re
+from configparser import ConfigParser
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,13 @@ def student_ckpt(cli_env):
     return str(student)
 
 
+def _manifest_section(run_dir, section: str) -> dict:
+    parser = ConfigParser()
+    parser.optionxform = str
+    parser.read(Path(run_dir) / "manifest", encoding="utf-8")
+    return dict(parser[section])
+
+
 class TestSynth:
     def test_same_seed_same_files(self, tmp_path):
         for sub in ("one", "two"):
@@ -73,6 +81,16 @@ class TestRunDirectory:
         assert "[run]" in manifest
         assert "subcommand = pretrain" in manifest
         assert re.search(r"= [0-9a-f]{64}$", manifest, flags=re.M)
+
+    def test_manifest_digests_checkpoint_inputs_and_outputs(self, cli_env, student_ckpt):
+        root = cli_env["root"]
+        teacher_digest = checkpoint_digest(cli_env["teacher"])
+        assert _manifest_section(root / "run_pretrain", "outputs") == \
+            {cli_env["teacher"]: teacher_digest}
+        assert _manifest_section(root / "run_distill", "inputs")[cli_env["teacher"]] == \
+            teacher_digest
+        assert _manifest_section(root / "run_distill", "outputs") == \
+            {student_ckpt: checkpoint_digest(student_ckpt)}
 
     def test_runs_env_var_controls_default_location(self, cli_env, tmp_path, monkeypatch):
         monkeypatch.setenv("MONODISTIL_RUNS", str(tmp_path / "all_runs"))
@@ -131,6 +149,15 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("TrainingDivergedError:")
         assert not (tmp_path / "ckpt").exists()
+
+    def test_directory_that_is_no_checkpoint(self, cli_env, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        rc = main(["distill", "--run-dir", str(tmp_path / "r"), "--teacher", str(empty),
+                   "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"],
+                   *ARCH, *TRAIN])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("CheckpointCorruptError:")
 
     def test_unknown_flag(self, capsys):
         assert main(["distill", "--frobnicate"]) == 2
@@ -213,6 +240,10 @@ class TestDownstreamFlow:
                    "--model-name", "dBERT", "--out", str(tuned)])
         assert rc == 0
         assert (tmp_path / "run_ft" / "metrics.csv").exists()
+        assert _manifest_section(tmp_path / "run_ft", "inputs")[student_ckpt] == \
+            checkpoint_digest(student_ckpt)
+        assert _manifest_section(tmp_path / "run_ft", "outputs") == \
+            {str(tuned): checkpoint_digest(tuned)}
         out = capsys.readouterr().out
         assert "accuracy:" in out
 
@@ -254,4 +285,7 @@ class TestDownstreamFlow:
                    "--teacher", cli_env["teacher"], "--corpus", cli_env["corpus_a"],
                    "--vocab", cli_env["vocab"], *TRAIN])
         assert rc == 0
-        assert (tmp_path / "run_cond" / "checkpoint" / "weights.bin").exists()
+        conditioned = tmp_path / "run_cond" / "checkpoint"
+        assert (conditioned / "weights.bin").exists()
+        assert _manifest_section(tmp_path / "run_cond", "outputs") == \
+            {str(conditioned): checkpoint_digest(conditioned)}

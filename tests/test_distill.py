@@ -61,15 +61,16 @@ class TestDistillLoss:
     def test_equal_logits_give_zero_kl(self):
         student, _, batch = _toy_loss_inputs()
         cfg = DistillConfig(max_len=16)
-        total, kl, mlm = distill_loss(student, student, batch, cfg)
+        rows = gather_rows(student, batch.mlm_mask)
+        total, kl, mlm = distill_loss(rows, rows, batch, cfg)
         assert abs(float(kl.data)) < 1e-7
 
     def test_weighted_sum_matches_direct_computation(self):
         student, teacher, batch = _toy_loss_inputs(seed=3)
         cfg = DistillConfig(alpha_kl=0.5, alpha_mlm=0.5, temperature=2.0, max_len=16)
-        total, kl, mlm = distill_loss(student, teacher, batch, cfg)
         rows_s = gather_rows(student, batch.mlm_mask)
         rows_t = gather_rows(teacher, batch.mlm_mask)
+        total, kl, mlm = distill_loss(rows_s, rows_t, batch, cfg)
         kl_direct = float(losses.kl_divergence(rows_s, rows_t, 2.0).data) * 4.0
         mlm_direct = float(losses.cross_entropy_masked(
             student, batch.original_ids, batch.mlm_mask).data)
@@ -80,7 +81,7 @@ class TestDistillLoss:
     def test_zero_kl_weight_reduces_to_masked_ce(self):
         student, _, batch = _toy_loss_inputs(seed=4)
         cfg = DistillConfig(alpha_kl=0.0, alpha_mlm=1.0, max_len=16)
-        total, kl, mlm = distill_loss(student, None, batch, cfg)
+        total, kl, mlm = distill_loss(gather_rows(student, batch.mlm_mask), None, batch, cfg)
         assert float(kl.data) == 0.0
         direct = losses.cross_entropy_masked(student, batch.original_ids, batch.mlm_mask)
         assert float(total.data) == float(direct.data)
@@ -89,12 +90,15 @@ class TestDistillLoss:
     def test_zero_mlm_weight_keeps_only_kl(self):
         student, teacher, batch = _toy_loss_inputs(seed=5)
         cfg = DistillConfig(alpha_kl=1.0, alpha_mlm=0.0, max_len=16)
-        total, kl, mlm = distill_loss(student, teacher, batch, cfg)
+        total, kl, mlm = distill_loss(gather_rows(student, batch.mlm_mask),
+                                      gather_rows(teacher, batch.mlm_mask), batch, cfg)
         assert float(mlm.data) == 0.0
         assert float(total.data) == float(kl.data)
 
     def test_empty_mask_rejected(self):
         student, teacher, batch = _toy_loss_inputs()
+        student = gather_rows(student, batch.mlm_mask)
+        teacher = gather_rows(teacher, batch.mlm_mask)
         batch = MaskedBatch(batch.token_ids, batch.attention_mask,
                             np.zeros_like(batch.mlm_mask), batch.original_ids)
         with pytest.raises(NoMaskedPositionsError):
@@ -103,13 +107,31 @@ class TestDistillLoss:
     def test_missing_teacher_rejected_when_kl_active(self):
         student, _, batch = _toy_loss_inputs()
         with pytest.raises(ConfigurationError):
-            distill_loss(student, None, batch, DistillConfig(alpha_kl=0.5, max_len=16))
+            distill_loss(gather_rows(student, batch.mlm_mask), None, batch,
+                         DistillConfig(alpha_kl=0.5, max_len=16))
 
     def test_shape_mismatch_rejected(self):
         student, _, batch = _toy_loss_inputs(vocab_size=7)
         bigger, _, _ = _toy_loss_inputs(vocab_size=9)
         with pytest.raises(DimensionError):
-            distill_loss(student, bigger, batch, DistillConfig(max_len=16))
+            distill_loss(gather_rows(student, batch.mlm_mask),
+                         gather_rows(bigger, batch.mlm_mask), batch, DistillConfig(max_len=16))
+
+    def test_row_count_must_match_the_mask(self):
+        student, teacher, batch = _toy_loss_inputs(seed=6)
+        rows_s = gather_rows(student, batch.mlm_mask)
+        rows_t = gather_rows(teacher, batch.mlm_mask)
+        fewer = np.zeros_like(batch.mlm_mask)
+        fewer[0, 1] = True
+        cfg = DistillConfig(max_len=16)
+        with pytest.raises(DimensionError):
+            distill_loss(student, teacher, batch, cfg)
+        with pytest.raises(DimensionError):
+            distill_loss(gather_rows(student, fewer), gather_rows(teacher, fewer), batch, cfg)
+        with pytest.raises(DimensionError):
+            distill_loss(rows_s, gather_rows(teacher, fewer), batch, cfg)
+        with pytest.raises(DimensionError):
+            distill_loss(rows_s, rows_t, dataclasses.replace(batch, mlm_mask=fewer), cfg)
 
 
 class TestConfigValidation:
@@ -297,6 +319,16 @@ class TestEvaluateMasked:
         assert a == b
         assert a["positions"] > 0
         assert 0.0 <= a["masked_accuracy"] <= 1.0
+
+    def test_masked_row_head_keeps_full_projection_value(self, tiny_model, small_bundle,
+                                                         small_vocab):
+        # the reference is what projecting every position and gathering the
+        # masked rows afterwards gave on this model and corpus
+        tiny_model["mlm_head_weight"].data *= 10.0
+        result = evaluate_masked(tiny_model, small_bundle.lang_a, small_vocab,
+                                 max_len=16, seed=3)
+        assert result["positions"] == 76
+        assert result["masked_ce"] == pytest.approx(5.726081647370991, abs=1e-6)
 
     def test_zero_rate_raises(self, tiny_model, small_bundle, small_vocab):
         with pytest.raises(NoMaskedPositionsError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from monodistil.autograd import Tensor, no_grad
+from monodistil.autograd import Tensor, gather_rows, no_grad
 from monodistil.errors import ConfigurationError, DimensionError
 from monodistil.losses import cross_entropy, cross_entropy_masked
 from monodistil.model import (
@@ -131,6 +131,15 @@ class TestForward:
             ce = cross_entropy_masked(logits, ids, mlm_mask)
         uniform = np.log(tiny_cfg.vocab_size)
         assert abs(float(ce.data) - uniform) < 0.15 * uniform
+
+    def test_masked_rows_match_gathered_full_logits(self, tiny_model, tiny_cfg):
+        ids, mask = _toy_batch(tiny_cfg.vocab_size, batch=3, seq=10, seed=7)
+        rows = mask & (ids >= 5) & (np.arange(10) % 3 == 1)
+        with no_grad():
+            full = forward_mlm(tiny_model, ids, mask)
+            picked = forward_mlm(tiny_model, ids, mask, rows=rows)
+        assert picked.shape == (int(rows.sum()), tiny_cfg.vocab_size)
+        np.testing.assert_allclose(picked.data, gather_rows(full, rows).data, rtol=0, atol=1e-6)
 
     def test_input_validation(self, tiny_model, tiny_cfg):
         with pytest.raises(DimensionError):
