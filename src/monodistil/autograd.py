@@ -4,6 +4,8 @@ Values are stored as 32-bit floats; reductions accumulate in 64-bit.
 Every operation records a backward closure on a tape; calling
 ``backward()`` on a scalar output walks the tape in reverse topological
 order and accumulates gradients additively until they are zeroed.
+The tape stays until ``release_graph`` drops it, as each training step
+does once its update is done.
 """
 
 from __future__ import annotations
@@ -119,13 +121,23 @@ class Tensor:
         return self.data
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a copy in the layout of data, not of g: a transposed g would
-            # change the summation order of later reductions
+        """Add ``g`` into ``grad``; the first gradient may be kept as is.
+
+        Every backward closure hands over either a fresh array that nothing
+        else holds, or a view, which its ``base`` gives away. A fresh array
+        laid out like ``data`` becomes ``grad`` without a copy; anything
+        else is copied in the layout of data, not of g, since a transposed
+        g would change the summation order of later reductions.
+        """
+        if self.grad is not None:
+            self.grad += g
+        elif (type(g) is np.ndarray and g.base is None and g.dtype == self.data.dtype
+              and g.shape == self.data.shape and g.flags.c_contiguous
+              and self.data.flags.c_contiguous):
+            self.grad = g
+        else:
             self.grad = np.empty_like(self.data)
             np.copyto(self.grad, g)
-        else:
-            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -172,10 +184,12 @@ class Tensor:
         a, b = self, other
 
         def back():
+            # a view, so that an unreduced gradient is copied, not kept: out.grad
+            # itself must not become a parent's grad
             if a.requires_grad:
-                a._accumulate(_unbroadcast(out.grad, a.shape))
+                a._accumulate(_unbroadcast(out.grad.view(), a.shape))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(out.grad, b.shape))
+                b._accumulate(_unbroadcast(out.grad.view(), b.shape))
 
         out = Tensor._from_result(out_data, (a, b), back)
         return out
@@ -517,18 +531,22 @@ def softmax(x: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     """Temperature-scaled softmax with max-subtraction for stability."""
     if temperature <= 0.0:
         raise ConfigurationError(f"softmax temperature must be positive, got {temperature}")
-    z = x.data / temperature
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    denom = _sum64(e, axis=axis, keepdims=True)
-    out_data = e / denom
+    z = x.data if temperature == 1.0 else x.data / temperature
+    out_data = z - z.max(axis=axis, keepdims=True)
+    np.exp(out_data, out=out_data)
+    out_data /= _sum64(out_data, axis=axis, keepdims=True)
     a = x
 
     def back():
         if a.requires_grad:
             s = out.data
-            inner = _sum64(out.grad * s, axis=axis, keepdims=True)
-            a._accumulate((s * (out.grad - inner)) / temperature)
+            d = out.grad * s
+            inner = _sum64(d, axis=axis, keepdims=True)
+            np.subtract(out.grad, inner, out=d)
+            d *= s
+            if temperature != 1.0:
+                d /= temperature
+            a._accumulate(d)
 
     out = Tensor._from_result(out_data, (a,), back)
     return out
@@ -555,11 +573,18 @@ def log_softmax(x: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the final axis to zero mean / unit variance, then affine."""
+    """Normalize the final axis to zero mean / unit variance, then affine.
+
+    The row mean and variance reduce in float64; the elementwise work runs
+    in the input dtype. The affine step stays out of place, so a wider gain
+    or bias widens the output rather than being rounded into it.
+    """
+    dtype = x.data.dtype
     mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True, dtype=np.float64)
-    inv = (1.0 / np.sqrt(var + eps)).astype(x.data.dtype)
-    xhat = ((x.data - mu) * inv).astype(x.data.dtype)
+    xhat = x.data - mu.astype(dtype)
+    var = np.square(xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
+    inv = (1.0 / np.sqrt(var + eps)).astype(dtype)
+    xhat *= inv
     out_data = gain.data * xhat + bias.data
     a, g_t, b_t = x, gain, bias
 
@@ -568,15 +593,41 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if g_t.requires_grad:
             g_t._accumulate(_unbroadcast(go * xhat, g_t.shape))
         if b_t.requires_grad:
-            b_t._accumulate(_unbroadcast(go, b_t.shape))
+            # a view, so that an unreduced gradient is copied, not kept
+            b_t._accumulate(_unbroadcast(go.view(), b_t.shape))
         if a.requires_grad:
+            # go has the output's dtype, at least as wide as xhat's, so
+            # the in-place updates below never narrow
             dxhat = go * g_t.data
+            t = dxhat * xhat
             m1 = dxhat.mean(axis=-1, keepdims=True, dtype=np.float64)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
-            a._accumulate((inv * (dxhat - m1 - xhat * m2)).astype(a.data.dtype))
+            m2 = t.mean(axis=-1, keepdims=True, dtype=np.float64)
+            dxhat -= m1.astype(dxhat.dtype)
+            np.multiply(xhat, m2.astype(dxhat.dtype), out=t)
+            dxhat -= t
+            dxhat *= inv
+            a._accumulate(dxhat.astype(a.data.dtype, copy=False))
 
     out = Tensor._from_result(out_data, (a, g_t, b_t), back)
     return out
+
+
+def release_graph(root: Tensor) -> None:
+    """Drop the tape under ``root`` so that reference counting frees it.
+
+    Each backward closure refers to its own output tensor, a reference
+    cycle that only the cyclic GC would break. Clearing ``_parents`` and
+    ``_backward`` on every non-leaf node breaks it; leaves keep their
+    gradients. ``backward()`` keeps the graph, so a training step calls
+    this once its update is done.
+    """
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if node._parents:
+            stack.extend(node._parents)
+            node._parents = ()
+            node._backward = None
 
 
 # -- gradient verification ---------------------------------------------------

@@ -85,6 +85,8 @@ class LogRow:
     total: float
     kl: float
     mlm: float
+    grad_norm: float          # global L2 norm of the gradients before clipping
+    n_masked: int             # masked positions the step's loss covers
     elapsed_seconds: float
 
 
@@ -169,11 +171,12 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
                                          dropout, rows=batch.mlm_mask)
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
             step += 1
-            train_step(total, optimizer, params, cfg.clip_norm, step, epoch)
+            grad_norm = train_step(total, optimizer, params, cfg.clip_norm, step, epoch)
             kl_val, mlm_val = float(kl_part.item()), float(mlm_part.item())
             rows.append(LogRow(step, epoch,
                                cfg.alpha_kl * kl_val + cfg.alpha_mlm * mlm_val,
-                               kl_val, mlm_val, clock() - start))
+                               kl_val, mlm_val, grad_norm, int(batch.mlm_mask.sum()),
+                               clock() - start))
     if not rows:
         raise ConfigurationError(
             "training produced no steps (every batch had zero masked positions)")
@@ -284,10 +287,12 @@ def evaluate_masked(model: EncoderModel, corpus: Corpus, vocab: Vocab,
 def write_loss_log(state: TrainState, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "epoch", "total", "kl", "mlm", "elapsed_seconds"])
+        writer.writerow(["step", "epoch", "total", "kl", "mlm", "grad_norm", "n_masked",
+                         "elapsed_seconds"])
         for row in state.log:
             writer.writerow([row.step, row.epoch, repr(row.total), repr(row.kl),
-                             repr(row.mlm), repr(row.elapsed_seconds)])
+                             repr(row.mlm), repr(row.grad_norm), row.n_masked,
+                             repr(row.elapsed_seconds)])
 
 
 def write_resolved_config(cfg: DistillConfig, path) -> None:

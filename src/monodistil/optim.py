@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import Tensor, release_graph
 from .errors import ConfigurationError, TrainingDivergedError, UsageError
 
 
@@ -92,12 +92,17 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
 
 
 def train_step(loss: Tensor, optimizer: AdamW, params: dict[str, Tensor], clip_norm: float,
-               step: int, epoch: int) -> None:
-    """Backward, clip and update; a non-finite loss raises before any gradient exists."""
+               step: int, epoch: int) -> float:
+    """Backward, clip, update and release the loss's tape; returns the pre-clip norm.
+
+    A non-finite loss raises before any gradient exists.
+    """
     if not np.isfinite(loss.data):
         raise TrainingDivergedError(
             f"non-finite loss {float(loss.data)} at step {step} (epoch {epoch})")
     optimizer.zero_grad()
     loss.backward()
-    clip_grad_norm(params, clip_norm)
+    norm = clip_grad_norm(params, clip_norm)
     optimizer.step()
+    release_graph(loss)
+    return norm

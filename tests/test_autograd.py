@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from monodistil import autograd
 from monodistil.autograd import (Tensor, constant, dropout, embedding,
-                                 finite_difference_check, gather_rows, log_softmax,
-                                 matmul, no_grad, precision, select, slice_leading,
-                                 softmax, take_index)
+                                 finite_difference_check, gather_rows, layer_norm,
+                                 log_softmax, matmul, no_grad, precision, select,
+                                 slice_leading, softmax, take_index)
 from monodistil.errors import ConfigurationError, DimensionError, UsageError
 
 
@@ -254,3 +254,56 @@ def test_gelu_repeated_backward_accumulates():
     y.backward()
     # the second pass sees seeds 1 (y) + 2 (gelu output) on top of the first
     np.testing.assert_array_equal(x.grad, 4.0 * first)
+
+
+def test_repeated_backward_keeps_unreduced_gradients_apart():
+    a = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    b = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    z = (a + b).sum()
+    z.backward()
+    z.backward()
+    # second pass: seed 2 on z, 1 + 2 on a + b, added to the first pass's 1;
+    # had a and b kept the sum's own grad array, both would read 12
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0, dtype=np.float32))
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 4.0, dtype=np.float32))
+
+    x = Tensor(_rng(15).standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+    gain = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    bias = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
+    y = layer_norm(x, gain, bias).sum()
+    y.backward()
+    y.backward()
+    np.testing.assert_array_equal(bias.grad, np.full((2, 3), 4.0, dtype=np.float32))
+
+
+def _layer_norm_grads(x, gain, bias, weight, dtype):
+    with precision(dtype):
+        ts = [Tensor(v.astype(dtype), requires_grad=True) for v in (x, gain, bias)]
+        out = layer_norm(*ts)
+        (out * Tensor(weight.astype(dtype))).sum().backward()
+    return [out.data] + [t.grad for t in ts]
+
+
+def test_float32_layer_norm_matches_float64_reference():
+    rng = _rng(16)
+    x = (rng.standard_normal((32, 32, 64)) * 3.0 + 1.0).astype(np.float32)
+    gain = (1.0 + 0.1 * rng.standard_normal(64)).astype(np.float32)
+    bias = (0.1 * rng.standard_normal(64)).astype(np.float32)
+    weight = rng.standard_normal((32, 32, 64)).astype(np.float32)
+    single = _layer_norm_grads(x, gain, bias, weight, np.float32)
+    reference = _layer_norm_grads(x, gain, bias, weight, np.float64)
+    for name, got, ref in zip(("output", "x grad", "gain grad", "bias grad"), single, reference):
+        assert got.dtype == np.float32, name
+        # gain and bias grads sum 1024 rows, so the bound scales with the largest value
+        assert np.abs(got - ref).max() <= 1e-5 * max(1.0, np.abs(ref).max()), name
+
+
+def test_layer_norm_widens_to_a_float64_bias():
+    x = Tensor(_rng(17).standard_normal((4, 8)).astype(np.float32), requires_grad=True)
+    gain = Tensor(np.ones(8, dtype=np.float32), requires_grad=True)
+    with precision(np.float64):
+        bias = Tensor(np.full(8, 1e-9), requires_grad=True)
+    out = layer_norm(x, gain, bias)
+    assert out.data.dtype == np.float64
+    out.sum().backward()
+    assert x.grad.dtype == np.float32 and bias.grad.dtype == np.float64

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -176,6 +177,8 @@ class TestTrainingLoops:
         assert {row.epoch for row in state.log} == {1, 2}
         elapsed = [row.elapsed_seconds for row in state.log]
         assert elapsed == sorted(elapsed)
+        assert all(math.isfinite(row.grad_norm) and row.grad_norm > 0 for row in state.log)
+        assert all(row.n_masked > 0 for row in state.log)
         assert state.config == cfg
 
     def test_zero_kl_path_matches_plain_pretraining(self, toy_teacher, tiny_cfg,
@@ -343,7 +346,7 @@ class TestRunArtifacts:
         _, state = pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab,
                                 run_dir=run)
         log_lines = (run / "loss_log.csv").read_text(encoding="utf-8").strip().splitlines()
-        assert log_lines[0] == "step,epoch,total,kl,mlm,elapsed_seconds"
+        assert log_lines[0] == "step,epoch,total,kl,mlm,grad_norm,n_masked,elapsed_seconds"
         assert len(log_lines) == len(state.log) + 1
         reloaded = load_distill_config(run / "config.resolved")
         assert reloaded == state.config

@@ -1,11 +1,15 @@
 """Update-rule oracles for the decoupled-weight-decay optimizer and clipping."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from monodistil.autograd import Tensor
 from monodistil.errors import UsageError
-from monodistil.optim import AdamW, clip_grad_norm
+from monodistil.losses import cross_entropy
+from monodistil.model import EncoderConfig, forward_mlm, init_random
+from monodistil.optim import AdamW, clip_grad_norm, train_step
 
 
 def _param(value, shape=()):
@@ -92,3 +96,33 @@ def test_clip_grad_norm_leaves_small_gradients_alone():
     before = p.grad.copy()
     clip_grad_norm({"p": p}, max_norm=1.0)
     np.testing.assert_array_equal(p.grad, before)
+
+
+def test_train_step_returns_the_pre_clip_norm():
+    p = Tensor(np.array([3.0, 4.0], dtype=np.float32), requires_grad=True)
+    loss = (p * p).sum()
+    norm = train_step(loss, AdamW({"p": p}, learning_rate=0.1), {"p": p}, 1.0, 1, 1)
+    # gradient 2p = [6, 8]: norm 10 before clipping, 1 after
+    assert norm == pytest.approx(10.0)
+    assert np.linalg.norm(p.grad) == pytest.approx(1.0)
+
+
+def test_train_step_frees_its_tape_without_the_cyclic_gc():
+    cfg = EncoderConfig(hidden_dim=16, intermediate_size=32, num_layers=1, num_heads=2,
+                        max_positions=8, vocab_size=30)
+    model = init_random(cfg, seed=0)
+    params = model.trainable_params()
+    optimizer = AdamW(params)
+    rng = np.random.Generator(np.random.PCG64(0))
+    ids = rng.integers(0, cfg.vocab_size, size=(2, 6))
+    mask = np.ones((2, 6), dtype=np.int64)
+    gc.collect()
+    gc.disable()
+    try:
+        for step in range(1, 4):
+            logits = forward_mlm(model, ids, mask).reshape(-1, cfg.vocab_size)
+            train_step(cross_entropy(logits, ids.reshape(-1)), optimizer, params, 1.0, step, 1)
+        # reference counting alone freed every step's graph: no cycles are left
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
