@@ -22,7 +22,7 @@ from .model import (EncoderConfig, EncoderModel, Head, copy_embeddings_from,
                     count_parameters, forward_mlm, forward_sequence_cls,
                     forward_token_cls, init_head, init_random, set_frozen)
 from .optim import AdamW, clip_grad_norm
-from .synth import SynthConfig, generate_bundle, generate_synthetic_bilingual, write_bundle
+from .synth import SynthConfig, generate_bundle, write_bundle
 from .tokenizer import EncodedSequence, Vocab, decode, encode, train_vocab
 
 __version__ = "0.1.0"

@@ -55,10 +55,6 @@ def precision(dtype):
         _DEFAULT_DTYPE = prev
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 def _sum64(x: np.ndarray, axis=None, keepdims=False) -> np.ndarray:
     # reductions accumulate in float64, result returned in the input dtype
     return np.sum(x, axis=axis, keepdims=keepdims, dtype=np.float64).astype(x.dtype)

@@ -1,10 +1,10 @@
 """Checkpoint directory format: a text manifest plus raw float32 weights.
 
-The manifest is INI-style text holding the architecture, the SHA-256 of
-the vocabulary the model was trained with, frozen-group state, and a
-tensor table (name, shape, byte offset into weights.bin). Weights are
-little-endian float32, concatenated in table order. No wall-clock data
-is written so identical runs produce byte-identical checkpoints.
+The manifest is INI-style text holding the architecture, the SHA-256 of the
+vocabulary the model was trained with and of the weights payload, frozen-group
+state, and a tensor table (name, shape, byte offset into weights.bin). Weights
+are little-endian float32, concatenated in table order. No wall-clock data is
+written so identical runs produce byte-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import Tensor
-from .errors import (CheckpointCorruptError, CheckpointShapeError, VocabMismatchError)
+from .errors import (CheckpointCorruptError, CheckpointError, CheckpointShapeError,
+                     VocabMismatchError)
 from .model import (EncoderConfig, EncoderModel, Head, parameter_shapes, set_frozen)
 from .tokenizer import Vocab
 
@@ -40,8 +42,9 @@ def _parse_shape(text: str) -> tuple[int, ...]:
         raise CheckpointCorruptError(f"unreadable tensor shape {text!r}") from exc
 
 
-def _build_manifest(model: EncoderModel, vocab_hash: str, seed: int, source: str,
-                    head: Head | None) -> tuple[str, list[tuple[str, np.ndarray]]]:
+def _serialize(model: EncoderModel, vocab_hash: str, seed: int, source: str,
+               head: Head | None) -> tuple[str, bytes]:
+    """Manifest text and weights payload; the manifest records the payload's sha256."""
     cfg = model.config
     parser = configparser.ConfigParser()
     parser["format"] = {"version": FORMAT_VERSION}
@@ -62,21 +65,36 @@ def _build_manifest(model: EncoderModel, vocab_hash: str, seed: int, source: str
         table[name] = f"{_format_shape(data.shape)} @ {offset}"
         offset += data.size * 4
     parser["tensors"] = table
+    payload = b"".join(np.ascontiguousarray(d, dtype="<f4").tobytes() for _, d in entries)
+    parser["meta"]["payload_sha256"] = hashlib.sha256(payload).hexdigest()
 
     buf = io.StringIO()
     parser.write(buf)
-    return buf.getvalue(), entries
+    return buf.getvalue(), payload
 
 
 def save_checkpoint(model: EncoderModel, path, vocab: Vocab, seed: int = 0,
                     source: str = "", head: Head | None = None) -> None:
-    """Write ``manifest`` and ``weights.bin`` under the directory ``path``."""
-    manifest, entries = _build_manifest(model, vocab.content_hash(), seed, source, head)
-    payload = b"".join(np.ascontiguousarray(d, dtype="<f4").tobytes() for _, d in entries)
+    """Write ``manifest`` and ``weights.bin`` under the directory ``path``.
+
+    Both go into a temporary sibling directory that is renamed to ``path`` once
+    complete, so a failed save leaves an existing checkpoint as it was. A
+    ``path`` holding anything else is refused.
+    """
+    manifest, payload = _serialize(model, vocab.content_hash(), seed, source, head)
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / MANIFEST_NAME).write_text(manifest, encoding="utf-8")
-    (out / WEIGHTS_NAME).write_bytes(payload)
+    if out.exists() and not (out.is_dir() and {f.name for f in out.iterdir()}
+                             <= {MANIFEST_NAME, WEIGHTS_NAME}):
+        raise CheckpointError(f"refusing to replace {out}: it is not a checkpoint directory")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:
+        new = Path(staging) / "new"
+        new.mkdir()
+        (new / MANIFEST_NAME).write_text(manifest, encoding="utf-8")
+        (new / WEIGHTS_NAME).write_bytes(payload)
+        if out.exists():
+            out.rename(Path(staging) / "old")
+        new.rename(out)
 
 
 def checkpoint_digest(path) -> str:
@@ -169,6 +187,11 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
     if not weights_path.exists():
         raise CheckpointCorruptError(f"no weights payload under {path}")
     payload = weights_path.read_bytes()
+    # manifests written before the payload digest existed carry none
+    stored_payload = parser["meta"].get("payload_sha256")
+    if stored_payload is not None and hashlib.sha256(payload).hexdigest() != stored_payload:
+        raise CheckpointCorruptError(
+            f"weights payload under {path} does not match the sha256 in its manifest")
 
     table = parser["tensors"]
     expected = parameter_shapes(config)

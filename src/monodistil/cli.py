@@ -43,16 +43,19 @@ def _short_hash(*parts) -> str:
     return hashlib.sha256("|".join(str(p) for p in parts).encode()).hexdigest()[:8]
 
 
-def _file_digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _digest(path: Path) -> str:
+    """A checkpoint directory's ``checkpoint_digest``, a file's sha256, or
+    ``stream`` for a pipe, which can be read only once and is left to the command."""
+    if path.is_dir():
+        return checkpoint_digest(path)
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    return "stream"
 
 
 def prepare_run(subcommand: str, args, inputs: list) -> Path:
-    """Create the run directory and record the manifest before any work.
-
-    A file input is recorded by its sha256, a checkpoint directory by its
-    ``checkpoint_digest``, and a pipe as ``stream``.
-    """
+    """Create the run directory and record the manifest, with the digest of
+    every input, before any work."""
     if getattr(args, "run_dir", None):
         run_dir = Path(args.run_dir)
     else:
@@ -75,27 +78,26 @@ def prepare_run(subcommand: str, args, inputs: list) -> Path:
         p = Path(item)
         if not p.exists():
             raise DataError(f"input does not exist: {p}")
-        if p.is_dir():
-            digests[str(p)] = checkpoint_digest(p)
-        elif p.is_file():
-            digests[str(p)] = _file_digest(p)
-        else:
-            # a pipe can be read only once, and the command needs it
-            digests[str(p)] = "stream"
+        digests[str(p)] = _digest(p)
     parser["inputs"] = digests
     with open(run_dir / "manifest", "w", encoding="utf-8") as fh:
         parser.write(fh)
     return run_dir
 
 
+def _record_outputs(run_dir: Path, outputs) -> None:
+    """Append an ``[outputs]`` section with the digest of each output path."""
+    parser = ConfigParser()
+    parser.optionxform = str
+    parser["outputs"] = {str(p): _digest(Path(p)) for p in outputs}
+    with open(run_dir / "manifest", "a", encoding="utf-8") as fh:
+        parser.write(fh)
+
+
 def _save_output(run_dir: Path, out: Path, model, vocab, **meta) -> None:
     """Save the checkpoint, then append its digest to the run manifest."""
     save_checkpoint(model, out, vocab, **meta)
-    parser = ConfigParser()
-    parser.optionxform = str
-    parser["outputs"] = {str(out): checkpoint_digest(out)}
-    with open(run_dir / "manifest", "a", encoding="utf-8") as fh:
-        parser.write(fh)
+    _record_outputs(run_dir, [out])
 
 
 def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
@@ -162,6 +164,7 @@ def cmd_synth(args) -> int:
     vocab_path = out / "vocab.txt"
     vocab.save(vocab_path)
     paths["vocab"] = str(vocab_path)
+    _record_outputs(run_dir, [paths[key] for key in sorted(paths)])
     for key in sorted(paths):
         print(f"{key}: {paths[key]}")
     return 0
@@ -260,6 +263,7 @@ def cmd_ablate(args) -> int:
     else:
         report = run_ablation_init(teacher, corpus, task, cfg, vocab,
                                    student_cfg, run_dir=run_dir)
+    _record_outputs(run_dir, [run_dir / "report.csv", run_dir / "report.md"])
     print(f"report: {run_dir / 'report.md'}")
     for row in report.rows:
         diff = "" if row.perf_diff is None else f" diff={row.perf_diff:+.4f}"
@@ -268,10 +272,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    prepare_run("report", args, [args.input])
+    run_dir = prepare_run("report", args, [args.input])
     report = parse_report_csv(args.input)
     out = Path(args.out)
     emit_report(report, args.format, out)
+    _record_outputs(run_dir, [out])
     print(f"report: {out}")
     return 0
 

@@ -3,9 +3,10 @@
 The objective is a weighted sum of two terms, both evaluated only at
 masked positions: KL(student || teacher) between the vocabulary
 distributions softened by temperature T, scaled by T^2, and the masked
-cross entropy against the gold tokens. Setting the KL weight to zero
-reduces the loop to plain MLM pretraining along the bit-identical code
-path.
+cross entropy against the gold tokens. The paper's abstract (PAPER.md)
+names no KL direction; this one is the package's choice. Setting the KL
+weight to zero reduces the loop to plain MLM pretraining along the
+bit-identical code path.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ class DistillConfig:
     mask_rate: float = 0.15
     seed: int = 0
     max_len: int = 32
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
     dropout_rate: float = 0.0
 
     def __post_init__(self):
@@ -70,10 +69,6 @@ class DistillConfig:
             raise ConfigurationError(f"mask_rate must be in [0, 1), got {self.mask_rate}")
         if self.max_len < 3:
             raise ConfigurationError(f"max_len must be at least 3, got {self.max_len}")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be non-negative")
-        if self.clip_norm <= 0:
-            raise ConfigurationError("clip_norm must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
@@ -148,8 +143,7 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
     params = student.trainable_params()
     if not params:
         raise ConfigurationError("every student parameter group is frozen; nothing to train")
-    optimizer = AdamW(params, learning_rate=cfg.learning_rate,
-                      weight_decay=cfg.weight_decay)
+    optimizer = AdamW(params, learning_rate=cfg.learning_rate)
 
     rows: list[LogRow] = []
     step = 0
@@ -171,7 +165,7 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
                                          dropout, rows=batch.mlm_mask)
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
             step += 1
-            grad_norm = train_step(total, optimizer, params, cfg.clip_norm, step, epoch)
+            grad_norm = train_step(total, optimizer, params, step, epoch)
             kl_val, mlm_val = float(kl_part.item()), float(mlm_part.item())
             rows.append(LogRow(step, epoch,
                                cfg.alpha_kl * kl_val + cfg.alpha_mlm * mlm_val,

@@ -171,7 +171,7 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
         for batch in train_batches:
             step += 1
             train_step(_finetune_loss(task.kind, tuned, head, batch, dropout),
-                       optimizer, params, 1.0, step, epoch)
+                       optimizer, params, step, epoch)
     runtime = clock() - start
     if not parameters_finite(params.values()):
         raise TrainingDivergedError(f"parameters are non-finite after step {step}")
@@ -310,18 +310,17 @@ def _ablation_outputs(report: ComparisonReport, cfg: DistillConfig, run_dir) -> 
 def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
                                fractions: list[float], downstream: TaskSpec,
                                cfg: DistillConfig, vocab: Vocab,
-                               student_cfg: EncoderConfig, run_dir=None,
-                               clock=time.perf_counter) -> ComparisonReport:
+                               student_cfg: EncoderConfig, run_dir=None) -> ComparisonReport:
     """One student per corpus fraction, each scored against the teacher."""
     if not fractions:
         raise ConfigurationError("need at least one fraction")
-    _, _, base_report = finetune(teacher, downstream, vocab, BASELINE_NAME, clock)
+    _, _, base_report = finetune(teacher, downstream, vocab, BASELINE_NAME)
     reports = [base_report]
     for fraction in sorted(set(fractions), reverse=True):
         sub = subsample(corpus, fraction, cfg.seed)
         student, _ = distill_run(teacher, student_cfg, sub, cfg, vocab)
         name = f"{STUDENT_NAME} @{round(fraction * 100):d}%"
-        _, _, rep = finetune(student, downstream, vocab, name, clock)
+        _, _, rep = finetune(student, downstream, vocab, name)
         reports.append(rep)
     report = measure_speedup(reports, BASELINE_NAME)
     _ablation_outputs(report, cfg, run_dir)
@@ -330,8 +329,7 @@ def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
 
 def run_ablation_conditioning(teacher: EncoderModel, corpus: Corpus,
                               downstream: TaskSpec, cfg: DistillConfig, vocab: Vocab,
-                              student_cfg: EncoderConfig, run_dir=None,
-                              clock=time.perf_counter) -> ComparisonReport:
+                              student_cfg: EncoderConfig, run_dir=None) -> ComparisonReport:
     """Students and teachers with and without MLM conditioning on ``corpus``."""
     conditioned, _ = condition_teacher(teacher, corpus, cfg, vocab)
 
@@ -339,13 +337,13 @@ def run_ablation_conditioning(teacher: EncoderModel, corpus: Corpus,
     student_cond, _ = distill_run(conditioned, student_cfg, corpus, cfg, vocab)
 
     reports = []
-    _, _, rep = finetune(teacher, downstream, vocab, BASELINE_NAME, clock)
+    _, _, rep = finetune(teacher, downstream, vocab, BASELINE_NAME)
     reports.append(rep)
-    _, _, rep = finetune(conditioned, downstream, vocab, f"{BASELINE_NAME} Conditioned", clock)
+    _, _, rep = finetune(conditioned, downstream, vocab, f"{BASELINE_NAME} Conditioned")
     reports.append(rep)
-    _, _, rep = finetune(student_raw, downstream, vocab, STUDENT_NAME, clock)
+    _, _, rep = finetune(student_raw, downstream, vocab, STUDENT_NAME)
     reports.append(rep)
-    _, _, rep = finetune(student_cond, downstream, vocab, f"{STUDENT_NAME} Conditioned", clock)
+    _, _, rep = finetune(student_cond, downstream, vocab, f"{STUDENT_NAME} Conditioned")
     reports.append(rep)
     report = measure_speedup(reports, BASELINE_NAME)
     _ablation_outputs(report, cfg, run_dir)
@@ -354,18 +352,18 @@ def run_ablation_conditioning(teacher: EncoderModel, corpus: Corpus,
 
 def run_ablation_init(teacher: EncoderModel, corpus: Corpus, downstream: TaskSpec,
                       cfg: DistillConfig, vocab: Vocab, student_cfg: EncoderConfig,
-                      run_dir=None, clock=time.perf_counter) -> ComparisonReport:
+                      run_dir=None) -> ComparisonReport:
     """Students initialized blank, from teacher embeddings, and frozen-copied."""
     named_modes = [(STUDENT_NAME, "none"),
                    (f"{STUDENT_NAME} Init", "copy"),
                    (f"{STUDENT_NAME} Init+Freeze", "copy_and_freeze")]
     reports = []
-    _, _, rep = finetune(teacher, downstream, vocab, BASELINE_NAME, clock)
+    _, _, rep = finetune(teacher, downstream, vocab, BASELINE_NAME)
     reports.append(rep)
     for name, mode in named_modes:
         student, _ = distill_run(teacher, student_cfg, corpus, cfg, vocab,
                                  init_from_teacher=mode)
-        _, _, rep = finetune(student, downstream, vocab, name, clock)
+        _, _, rep = finetune(student, downstream, vocab, name)
         reports.append(rep)
     report = measure_speedup(reports, BASELINE_NAME)
     _ablation_outputs(report, cfg, run_dir)

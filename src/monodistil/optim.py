@@ -9,6 +9,10 @@ import numpy as np
 from .autograd import Tensor, release_graph
 from .errors import ConfigurationError, TrainingDivergedError, UsageError
 
+# one recipe for every stage: pretrain, condition, distill and finetune
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8
+CLIP_NORM = 1.0
+
 
 class AdamW:
     """Adam update with bias correction and decoupled weight decay.
@@ -19,21 +23,13 @@ class AdamW:
     """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 3e-4,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8,
                  weight_decay: float = 0.01):
         if learning_rate <= 0.0:
             raise ConfigurationError(f"learning_rate must be positive, got {learning_rate}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ConfigurationError(f"betas must lie in (0, 1), got ({beta1}, {beta2})")
-        if epsilon <= 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
         if weight_decay < 0.0:
             raise ConfigurationError(f"weight_decay must be non-negative, got {weight_decay}")
         self.params = dict(params)
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
         self.weight_decay = weight_decay
         self.step_count = 0
         self.first_moment: dict[str, np.ndarray] = {}
@@ -46,8 +42,8 @@ class AdamW:
         if missing:
             raise UsageError(f"optimizer step with missing gradients: {', '.join(sorted(missing))}")
         self.step_count += 1
-        bc1 = 1.0 - self.beta1 ** self.step_count
-        bc2 = 1.0 - self.beta2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for name, p in trainable.items():
             g = p.grad
             m = self.first_moment.get(name)
@@ -57,13 +53,13 @@ class AdamW:
                 v = np.zeros_like(p.data)
                 self.first_moment[name] = m
                 self.second_moment[name] = v
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            p.data -= self.learning_rate * (m_hat / (np.sqrt(v_hat) + self.epsilon))
+            p.data -= self.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
             if self.weight_decay > 0.0:
                 p.data -= self.learning_rate * self.weight_decay * p.data
 
@@ -91,8 +87,8 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def train_step(loss: Tensor, optimizer: AdamW, params: dict[str, Tensor], clip_norm: float,
-               step: int, epoch: int) -> float:
+def train_step(loss: Tensor, optimizer: AdamW, params: dict[str, Tensor], step: int,
+               epoch: int) -> float:
     """Backward, clip, update and release the loss's tape; returns the pre-clip norm.
 
     A non-finite loss raises before any gradient exists.
@@ -102,7 +98,7 @@ def train_step(loss: Tensor, optimizer: AdamW, params: dict[str, Tensor], clip_n
             f"non-finite loss {float(loss.data)} at step {step} (epoch {epoch})")
     optimizer.zero_grad()
     loss.backward()
-    norm = clip_grad_norm(params, clip_norm)
+    norm = clip_grad_norm(params, CLIP_NORM)
     optimizer.step()
     release_graph(loss)
     return norm

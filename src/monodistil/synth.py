@@ -23,6 +23,15 @@ N_MARKER = 6
 O_TAG, B_TAG, I_TAG = "O", "B-ENT", "I-ENT"
 POS_LABEL, NEG_LABEL = "pos", "neg"
 
+SENTENCES_PER_DOC = 2
+MIN_WORDS, MAX_WORDS = 5, 12          # base words per sentence, before insertions
+ENTITY_RATE = 0.10                    # chance of an entity phrase before each base word
+MARKER_RATE = 0.3                     # chance that a corpus sentence carries polarity markers
+TRANSITION_SHARPNESS = 0.4            # Dirichlet concentration of the successor weights
+CLASSIFICATION_EXAMPLES = 800
+TAGGING_EXAMPLES = 400
+EVAL_FRACTION = 0.25                  # share of each task's examples held out for scoring
+
 
 @dataclass(frozen=True)
 class LanguageSpec:
@@ -40,28 +49,14 @@ LANG_B = LanguageSpec("langB", "bdgrvz", "eu", final_consonant=True)
 class SynthConfig:
     docs_per_language: int = 1000
     heldout_docs: int = 120
-    sentences_per_doc: int = 2
-    min_words: int = 5
-    max_words: int = 12
-    entity_rate: float = 0.10
-    marker_rate: float = 0.3
-    transition_sharpness: float = 0.4
-    classification_examples: int = 800
-    tagging_examples: int = 400
-    eval_fraction: float = 0.25
     seed: int = 0
 
     def __post_init__(self):
         if self.docs_per_language < 1:
             raise ConfigurationError("docs_per_language must be at least 1")
-        if not 0.0 <= self.entity_rate < 1.0:
-            raise ConfigurationError(f"entity_rate must be in [0, 1), got {self.entity_rate}")
-        if self.min_words < 3 or self.max_words < self.min_words:
-            raise ConfigurationError("need max_words >= min_words >= 3")
-        if self.transition_sharpness <= 0:
-            raise ConfigurationError("transition_sharpness must be positive")
-        if not 0.0 < self.eval_fraction < 1.0:
-            raise ConfigurationError("eval_fraction must be in (0, 1)")
+        if self.heldout_docs < 0:
+            raise ConfigurationError(
+                f"heldout_docs must be non-negative, got {self.heldout_docs}")
 
 
 @dataclass
@@ -97,8 +92,7 @@ def _word_inventory(spec: LanguageSpec, rng: np.random.Generator) -> list[str]:
     return [candidates[i] for i in order[:needed]]
 
 
-def build_language(spec: LanguageSpec, rng: np.random.Generator,
-                   transition_sharpness: float = 0.4) -> Language:
+def build_language(spec: LanguageSpec, rng: np.random.Generator) -> Language:
     """Order-2 chain with a first-order skeleton.
 
     The four candidate successors are a function of the previous word
@@ -120,13 +114,12 @@ def build_language(spec: LanguageSpec, rng: np.random.Generator,
     weights = np.zeros((n_ctx, 4), dtype=np.float64)
     for ctx in range(n_ctx):
         cand[ctx] = by_last[ctx % N_REGULAR]
-        weights[ctx] = rng.dirichlet(np.full(4, transition_sharpness))
+        weights[ctx] = rng.dirichlet(np.full(4, TRANSITION_SHARPNESS))
     return Language(spec, regular, entities, markers[:half], markers[half:], cand, weights)
 
 
-def _sample_base_sentence(lang: Language, rng: np.random.Generator,
-                          min_words: int, max_words: int) -> list[int]:
-    n = int(rng.integers(min_words, max_words + 1))
+def _sample_base_sentence(lang: Language, rng: np.random.Generator) -> list[int]:
+    n = int(rng.integers(MIN_WORDS, MAX_WORDS + 1))
     out = [int(rng.integers(N_REGULAR)), int(rng.integers(N_REGULAR))]
     while len(out) < n:
         ctx = out[-2] * N_REGULAR + out[-1]
@@ -135,8 +128,8 @@ def _sample_base_sentence(lang: Language, rng: np.random.Generator,
     return out[:n]
 
 
-def _insert_entities(base: list[str], lang: Language, rng: np.random.Generator,
-                     entity_rate: float) -> tuple[list[str], list[str]]:
+def _insert_entities(base: list[str], lang: Language,
+                     rng: np.random.Generator) -> tuple[list[str], list[str]]:
     """Independently insert an entity phrase before each base word.
 
     One insertion opportunity per base word keeps the entity count a
@@ -145,7 +138,7 @@ def _insert_entities(base: list[str], lang: Language, rng: np.random.Generator,
     words: list[str] = []
     tags: list[str] = []
     for w in base:
-        if rng.random() < entity_rate:
+        if rng.random() < ENTITY_RATE:
             phrase_len = 1 if rng.random() < 0.7 else 2
             picks = rng.integers(N_ENTITY, size=phrase_len)
             words.append(lang.entities[int(picks[0])])
@@ -169,12 +162,12 @@ def _insert_markers(words: list[str], lang: Language, rng: np.random.Generator,
     return out
 
 
-def _sample_document(lang: Language, rng: np.random.Generator, cfg: SynthConfig) -> str:
+def _sample_document(lang: Language, rng: np.random.Generator) -> str:
     sentences = []
-    for _ in range(cfg.sentences_per_doc):
-        base_ids = _sample_base_sentence(lang, rng, cfg.min_words, cfg.max_words)
-        words, _ = _insert_entities([lang.regular[i] for i in base_ids], lang, rng, cfg.entity_rate)
-        if rng.random() < cfg.marker_rate:
+    for _ in range(SENTENCES_PER_DOC):
+        base_ids = _sample_base_sentence(lang, rng)
+        words, _ = _insert_entities([lang.regular[i] for i in base_ids], lang, rng)
+        if rng.random() < MARKER_RATE:
             words = _insert_markers(words, lang, rng, int(rng.integers(2)))
         sentences.append(" ".join(words))
     return " ".join(sentences)
@@ -196,12 +189,12 @@ class SynthBundle:
 
 def generate_bundle(config: SynthConfig) -> SynthBundle:
     rng = np.random.Generator(np.random.PCG64(config.seed))
-    lang_a = build_language(LANG_A, rng, config.transition_sharpness)
-    lang_b = build_language(LANG_B, rng, config.transition_sharpness)
+    lang_a = build_language(LANG_A, rng)
+    lang_b = build_language(LANG_B, rng)
 
-    docs_a = [_sample_document(lang_a, rng, config) for _ in range(config.docs_per_language)]
-    heldout = [_sample_document(lang_a, rng, config) for _ in range(config.heldout_docs)]
-    docs_b = [_sample_document(lang_b, rng, config) for _ in range(config.docs_per_language)]
+    docs_a = [_sample_document(lang_a, rng) for _ in range(config.docs_per_language)]
+    heldout = [_sample_document(lang_a, rng) for _ in range(config.heldout_docs)]
+    docs_b = [_sample_document(lang_b, rng) for _ in range(config.docs_per_language)]
 
     mixed: list[str] = []
     for a, b in zip(docs_a, docs_b):
@@ -209,23 +202,21 @@ def generate_bundle(config: SynthConfig) -> SynthBundle:
         mixed.append(b)
 
     cls_rows: list[tuple[str, str]] = []
-    for _ in range(config.classification_examples):
+    for _ in range(CLASSIFICATION_EXAMPLES):
         polarity = int(rng.integers(2))
-        base_ids = _sample_base_sentence(lang_a, rng, config.min_words, config.max_words)
-        words, _ = _insert_entities([lang_a.regular[i] for i in base_ids], lang_a, rng,
-                                    config.entity_rate)
+        base_ids = _sample_base_sentence(lang_a, rng)
+        words, _ = _insert_entities([lang_a.regular[i] for i in base_ids], lang_a, rng)
         words = _insert_markers(words, lang_a, rng, polarity)
         cls_rows.append((" ".join(words), POS_LABEL if polarity == 1 else NEG_LABEL))
 
     tag_rows: list[tuple[list[str], list[str]]] = []
-    for _ in range(config.tagging_examples):
-        base_ids = _sample_base_sentence(lang_a, rng, config.min_words, config.max_words)
-        words, tags = _insert_entities([lang_a.regular[i] for i in base_ids], lang_a, rng,
-                                       config.entity_rate)
+    for _ in range(TAGGING_EXAMPLES):
+        base_ids = _sample_base_sentence(lang_a, rng)
+        words, tags = _insert_entities([lang_a.regular[i] for i in base_ids], lang_a, rng)
         tag_rows.append((words, tags))
 
-    n_cls_eval = max(1, int(len(cls_rows) * config.eval_fraction))
-    n_tag_eval = max(1, int(len(tag_rows) * config.eval_fraction))
+    n_cls_eval = int(CLASSIFICATION_EXAMPLES * EVAL_FRACTION)
+    n_tag_eval = int(TAGGING_EXAMPLES * EVAL_FRACTION)
     return SynthBundle(
         lang_a=Corpus(docs_a, source="synthetic", language=LANG_A.name),
         lang_b=Corpus(docs_b, source="synthetic", language=LANG_B.name),
@@ -236,12 +227,6 @@ def generate_bundle(config: SynthConfig) -> SynthBundle:
         tag_train=tag_rows[n_tag_eval:],
         tag_eval=tag_rows[:n_tag_eval],
     )
-
-
-def generate_synthetic_bilingual(seed: int, docs_per_language: int) -> tuple[Corpus, Corpus, Corpus]:
-    """Two disjoint-vocabulary corpora plus their interleaving."""
-    bundle = generate_bundle(SynthConfig(docs_per_language=docs_per_language, seed=seed))
-    return bundle.lang_a, bundle.lang_b, bundle.mixed
 
 
 def write_tsv(rows: list[tuple[str, str]], path) -> None:

@@ -14,6 +14,7 @@ from monodistil.checkpoint import (
 )
 from monodistil.errors import (
     CheckpointCorruptError,
+    CheckpointError,
     CheckpointShapeError,
     VocabMismatchError,
 )
@@ -58,17 +59,54 @@ class TestRoundTrip:
         assert meta["frozen_groups"] == []
 
     def test_manifest_with_training_keys_still_loads(self, saved, tiny_model, small_vocab):
-        # manifests once also stored the dropout rate and the tied-head flag
+        # manifests once also stored the dropout rate and the tied-head flag,
+        # and had no payload digest
         manifest = saved / "manifest"
         text = manifest.read_text(encoding="utf-8")
+        text = "".join(ln for ln in text.splitlines(keepends=True)
+                       if not ln.startswith("payload_sha256"))
         manifest.write_text(text.replace("[config]\n",
                                          "[config]\ndropout_rate = 0.1\ntie_mlm_head = false\n"),
                             encoding="utf-8")
         assert "tie_mlm_head = false" in manifest.read_text(encoding="utf-8")
+        assert "payload_sha256" not in manifest.read_text(encoding="utf-8")
         loaded = load_checkpoint(saved, small_vocab)
         assert loaded.config == tiny_model.config
         for name in tiny_model.params:
             np.testing.assert_array_equal(loaded[name].data, tiny_model[name].data)
+
+    def test_resave_replaces_an_existing_checkpoint(self, saved, tiny_model, small_vocab):
+        tiny_model["token_embedding"].data[0, 0] += 1.0
+        save_checkpoint(tiny_model, saved, small_vocab, seed=3, source="unit-test")
+        loaded = load_checkpoint(saved, small_vocab)
+        np.testing.assert_array_equal(loaded["token_embedding"].data,
+                                      tiny_model["token_embedding"].data)
+        assert [p.name for p in saved.parent.iterdir()] == [saved.name]
+
+    def test_failed_save_keeps_the_old_checkpoint(self, saved, tiny_model, small_vocab,
+                                                  monkeypatch):
+        before = checkpoint_digest(saved)
+
+        def disk_full(self, data):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", disk_full)
+        tiny_model["token_embedding"].data[0, 0] += 1.0
+        with pytest.raises(OSError):
+            save_checkpoint(tiny_model, saved, small_vocab, seed=4, source="second run")
+        monkeypatch.undo()
+        assert checkpoint_digest(saved) == before
+        load_checkpoint(saved, small_vocab)
+        assert [p.name for p in saved.parent.iterdir()] == [saved.name]
+
+    def test_directory_with_other_files_is_not_replaced(self, tmp_path, tiny_model,
+                                                        small_vocab):
+        notes = tmp_path / "notes.txt"
+        notes.write_text("keep me", encoding="utf-8")
+        with pytest.raises(CheckpointError):
+            save_checkpoint(tiny_model, tmp_path, small_vocab)
+        assert notes.read_text(encoding="utf-8") == "keep me"
+        assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
 
     def test_frozen_groups_restored(self, tmp_path, tiny_cfg, small_vocab):
         model = init_random(tiny_cfg, seed=0)
@@ -114,6 +152,14 @@ class TestValidation:
         weights = saved / "weights.bin"
         weights.write_bytes(weights.read_bytes()[:-8])
         with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(saved, small_vocab)
+
+    def test_flipped_payload_byte_rejected(self, saved, small_vocab):
+        weights = saved / "weights.bin"
+        payload = bytearray(weights.read_bytes())
+        payload[5] ^= 0x40          # inside token_embedding, the first tensor
+        weights.write_bytes(bytes(payload))
+        with pytest.raises(CheckpointCorruptError, match="sha256"):
             load_checkpoint(saved, small_vocab)
 
     def test_missing_manifest_rejected(self, saved, small_vocab):

@@ -1,5 +1,6 @@
 """End-to-end command line flows, run directories, and exit codes."""
 
+import hashlib
 import re
 from configparser import ConfigParser
 from pathlib import Path
@@ -57,6 +58,10 @@ def _manifest_section(run_dir, section: str) -> dict:
     return dict(parser[section])
 
 
+def _file_digests(*paths) -> dict:
+    return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+
 class TestSynth:
     def test_same_seed_same_files(self, tmp_path):
         for sub in ("one", "two"):
@@ -73,6 +78,16 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "vocab" in out
         assert "cls_train" in out
+        written = [line.split(": ", 1)[1] for line in out.splitlines()]
+        assert len(written) == 11
+        assert _manifest_section(tmp_path / "run", "outputs") == _file_digests(*written)
+
+    def test_negative_heldout_is_a_usage_error(self, tmp_path, capsys):
+        rc = main(["synth", "--run-dir", str(tmp_path / "run"), "--out", str(tmp_path / "d"),
+                   "--docs", "5", "--heldout", "-3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigurationError: heldout_docs")
+        assert not (tmp_path / "d").exists()
 
 
 class TestRunDirectory:
@@ -269,6 +284,8 @@ class TestDownstreamFlow:
         data_rows = [ln for ln in report_csv.read_text(encoding="utf-8").splitlines()[2:]
                      if ln.strip()]
         assert len(data_rows) == 4
+        assert _manifest_section(run, "outputs") == \
+            _file_digests(report_csv, run / "report.md")
         out = capsys.readouterr().out
         assert "mBERT" in out
         assert "dBERT Init+Freeze" in out
@@ -279,6 +296,7 @@ class TestDownstreamFlow:
                    "--out", str(md_out)])
         assert rc == 0
         assert "| mBERT |" in md_out.read_text(encoding="utf-8")
+        assert _manifest_section(tmp_path / "run_report", "outputs") == _file_digests(md_out)
 
     def test_condition_subcommand(self, cli_env, tmp_path):
         rc = main(["condition", "--run-dir", str(tmp_path / "run_cond"),

@@ -101,7 +101,7 @@ def test_clip_grad_norm_leaves_small_gradients_alone():
 def test_train_step_returns_the_pre_clip_norm():
     p = Tensor(np.array([3.0, 4.0], dtype=np.float32), requires_grad=True)
     loss = (p * p).sum()
-    norm = train_step(loss, AdamW({"p": p}, learning_rate=0.1), {"p": p}, 1.0, 1, 1)
+    norm = train_step(loss, AdamW({"p": p}, learning_rate=0.1), {"p": p}, 1, 1)
     # gradient 2p = [6, 8]: norm 10 before clipping, 1 after
     assert norm == pytest.approx(10.0)
     assert np.linalg.norm(p.grad) == pytest.approx(1.0)
@@ -121,7 +121,7 @@ def test_train_step_frees_its_tape_without_the_cyclic_gc():
     try:
         for step in range(1, 4):
             logits = forward_mlm(model, ids, mask).reshape(-1, cfg.vocab_size)
-            train_step(cross_entropy(logits, ids.reshape(-1)), optimizer, params, 1.0, step, 1)
+            train_step(cross_entropy(logits, ids.reshape(-1)), optimizer, params, step, 1)
         # reference counting alone freed every step's graph: no cycles are left
         assert gc.collect() == 0
     finally:

@@ -13,7 +13,6 @@ from monodistil.synth import (
     SynthConfig,
     build_language,
     generate_bundle,
-    generate_synthetic_bilingual,
     write_bundle,
 )
 
@@ -94,15 +93,6 @@ class TestDeterminism:
         b = generate_bundle(SynthConfig(docs_per_language=15, heldout_docs=5, seed=2))
         assert a.lang_a.documents != b.lang_a.documents
 
-    def test_task_example_count_does_not_disturb_corpora(self):
-        base = SynthConfig(docs_per_language=15, heldout_docs=5, seed=4)
-        more = SynthConfig(docs_per_language=15, heldout_docs=5, seed=4,
-                           classification_examples=40, tagging_examples=20)
-        a = generate_bundle(base)
-        b = generate_bundle(more)
-        assert a.lang_a.documents == b.lang_a.documents
-        assert a.mixed.documents == b.mixed.documents
-
     def test_write_bundle_byte_identical(self, small_bundle, tmp_path):
         first = write_bundle(small_bundle, tmp_path / "one")
         second = write_bundle(small_bundle, tmp_path / "two")
@@ -167,18 +157,4 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             SynthConfig(docs_per_language=0)
         with pytest.raises(ConfigurationError):
-            SynthConfig(entity_rate=1.0)
-        with pytest.raises(ConfigurationError):
-            SynthConfig(min_words=2)
-        with pytest.raises(ConfigurationError):
-            SynthConfig(min_words=8, max_words=5)
-        with pytest.raises(ConfigurationError):
-            SynthConfig(transition_sharpness=0.0)
-        with pytest.raises(ConfigurationError):
-            SynthConfig(eval_fraction=1.0)
-
-    def test_three_corpus_helper(self):
-        lang_a, lang_b, mixed = generate_synthetic_bilingual(seed=5, docs_per_language=8)
-        assert len(lang_a) == 8
-        assert len(lang_b) == 8
-        assert len(mixed) == 16
+            SynthConfig(heldout_docs=-1)
