@@ -73,6 +73,15 @@ def _serialize(model: EncoderModel, vocab_hash: str, seed: int, source: str,
     return buf.getvalue(), payload
 
 
+def can_hold_checkpoint(path) -> bool:
+    """True when ``path`` is absent or a directory holding nothing but a
+    checkpoint's ``manifest`` and ``weights.bin``: the only places a save may
+    write, since it replaces the whole directory."""
+    out = Path(path)
+    return not out.exists() or (out.is_dir() and {f.name for f in out.iterdir()}
+                                <= {MANIFEST_NAME, WEIGHTS_NAME})
+
+
 def save_checkpoint(model: EncoderModel, path, vocab: Vocab, seed: int = 0,
                     source: str = "", head: Head | None = None) -> None:
     """Write ``manifest`` and ``weights.bin`` under the directory ``path``.
@@ -83,8 +92,7 @@ def save_checkpoint(model: EncoderModel, path, vocab: Vocab, seed: int = 0,
     """
     manifest, payload = _serialize(model, vocab.content_hash(), seed, source, head)
     out = Path(path)
-    if out.exists() and not (out.is_dir() and {f.name for f in out.iterdir()}
-                             <= {MANIFEST_NAME, WEIGHTS_NAME}):
+    if not can_hold_checkpoint(out):
         raise CheckpointError(f"refusing to replace {out}: it is not a checkpoint directory")
     out.parent.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix=f".{out.name}.", dir=out.parent) as staging:

@@ -17,7 +17,8 @@ import time
 from configparser import ConfigParser
 from pathlib import Path
 
-from .checkpoint import checkpoint_digest, load_checkpoint, load_finetuned, save_checkpoint
+from .checkpoint import (can_hold_checkpoint, checkpoint_digest, load_checkpoint,
+                         load_finetuned, save_checkpoint)
 from .data import load_corpus, subsample
 from .distill import (DistillConfig, TrainState, condition_teacher, distill_run,
                       load_distill_config, pretrain_mlm)
@@ -53,9 +54,14 @@ def _digest(path: Path) -> str:
     return "stream"
 
 
-def prepare_run(subcommand: str, args, inputs: list) -> Path:
+def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None) -> Path:
     """Create the run directory and record the manifest, with the digest of
-    every input, before any work."""
+    every input, before any work. ``checkpoint_out`` is the ``--out`` a
+    training command will save its checkpoint to; one that no checkpoint
+    may replace is refused here, before training."""
+    if checkpoint_out is not None and not can_hold_checkpoint(checkpoint_out):
+        raise UsageError(f"--out {checkpoint_out} is not a checkpoint directory; "
+                         "name a new path or an existing checkpoint")
     if getattr(args, "run_dir", None):
         run_dir = Path(args.run_dir)
     else:
@@ -171,7 +177,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    run_dir = prepare_run("pretrain", args, [args.corpus, args.vocab, args.config])
+    run_dir = prepare_run("pretrain", args, [args.corpus, args.vocab, args.config],
+                          checkpoint_out=args.out)
     vocab = _load_vocab(args)
     corpus = load_corpus(args.corpus)
     cfg = _resolve_distill_config(args, mlm_only=True)
@@ -183,7 +190,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_distill(args) -> int:
-    run_dir = prepare_run("distill", args, [args.teacher, args.corpus, args.vocab, args.config])
+    run_dir = prepare_run("distill", args, [args.teacher, args.corpus, args.vocab, args.config],
+                          checkpoint_out=args.out)
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
@@ -200,7 +208,8 @@ def cmd_distill(args) -> int:
 
 
 def cmd_condition(args) -> int:
-    run_dir = prepare_run("condition", args, [args.teacher, args.corpus, args.vocab, args.config])
+    run_dir = prepare_run("condition", args, [args.teacher, args.corpus, args.vocab, args.config],
+                          checkpoint_out=args.out)
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
@@ -212,7 +221,8 @@ def cmd_condition(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    run_dir = prepare_run("finetune", args, [args.model, args.vocab, args.train, args.eval])
+    run_dir = prepare_run("finetune", args, [args.model, args.vocab, args.train, args.eval],
+                          checkpoint_out=args.out)
     vocab = _load_vocab(args)
     model = load_checkpoint(_require_checkpoint(args.model), vocab)
     task = _task_spec(args)

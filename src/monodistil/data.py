@@ -120,7 +120,13 @@ def make_mlm_batch(sequences: list[EncodedSequence], mask_rate: float,
 
 @dataclass
 class LabeledBatch:
-    """Encoded inputs with per-sequence or per-position integer labels."""
+    """Encoded inputs with per-sequence or per-position integer labels.
+
+    ``token_ids`` and ``attention_mask`` are [batch, width]; tagging
+    ``labels`` are [batch, width] too, classification labels [batch].
+    ``width`` is the batch's longest row, at most the ``max_len`` the batch
+    was built with (see ``make_labeled_batches``).
+    """
 
     token_ids: np.ndarray
     attention_mask: np.ndarray
@@ -220,6 +226,14 @@ def make_labeled_batches(path, vocab: Vocab, max_len: int, batch_size: int,
     sentence breaks; a word's tag attaches to its first subword and all
     continuations get IGNORE_ID. Pass ``label_map`` to reuse a training
     inventory at eval time.
+
+    Each batch is cut to its longest row: the columns after the last one
+    any of its rows attends to hold only PAD (and IGNORE_ID labels), which
+    no loss reads, so they are dropped rather than run through the encoder.
+    Rows are encoded at ``max_len`` first, so truncation is unchanged.
+    Masked-LM batches (``make_mlm_batch``) stay at ``max_len``: their masks
+    are drawn on the full shape, and a narrower attention changes how BLAS
+    rounds the small-head models' ``attn @ v``.
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
@@ -273,5 +287,8 @@ def make_labeled_batches(path, vocab: Vocab, max_len: int, batch_size: int,
     num_labels = len(label_map)
     for start in range(0, n, batch_size):
         take = order[start:start + batch_size]
-        batches.append(LabeledBatch(ids[take], att[take], labels[take], num_labels))
+        width = int(np.flatnonzero(att[take].any(axis=0))[-1]) + 1
+        batch_labels = labels[take, :width] if labels.ndim == 2 else labels[take]
+        batches.append(LabeledBatch(ids[take, :width], att[take, :width], batch_labels,
+                                    num_labels))
     return batches, label_map

@@ -156,11 +156,14 @@ def _maybe_dropout(x: Tensor, dropout) -> Tensor:
 
 
 def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
-                  attention_mask: np.ndarray, dropout=None) -> Tensor:
+                  attention_mask: np.ndarray, dropout=None, cls_only: bool = False) -> Tensor:
     """Run the encoder stack; returns hidden states [batch, seq, hidden].
 
     ``dropout`` is a ``(rate, rng)`` pair for training-mode dropout; None
-    means inference.
+    means inference. With ``cls_only`` the last layer still attends over
+    keys and values from every position but computes its query, attention
+    output, residuals and FFN for position 0 alone, and the result is
+    [batch, 1, hidden].
     """
     cfg = model.config
     token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -196,17 +199,21 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
             return ag.matmul(x, w) + b
 
         def split_heads(x: Tensor) -> Tensor:
-            return x.reshape((batch, seq, cfg.num_heads, cfg.head_dim)).transpose((0, 2, 1, 3))
+            return x.reshape((batch, -1, cfg.num_heads, cfg.head_dim)).transpose((0, 2, 1, 3))
 
-        q = split_heads(proj("query", h))
+        # the query rows: every position, or only CLS in a cls_only last layer
+        x = h
+        if cls_only and layer == cfg.num_layers - 1:
+            x = ag.select(h, 1, 0).reshape((batch, 1, cfg.hidden_dim))
+        q = split_heads(proj("query", x))
         k = split_heads(proj("key", h))
         v = split_heads(proj("value", h))
         scores = ag.matmul(q, k.transpose((0, 1, 3, 2))) * scale + bias
         attn = ag.softmax(scores, axis=-1)
         attn = _maybe_dropout(attn, dropout)
-        ctx = ag.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((batch, seq, cfg.hidden_dim))
+        ctx = ag.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((batch, -1, cfg.hidden_dim))
         attn_out = _maybe_dropout(proj("attn_output", ctx), dropout)
-        h = ag.layer_norm(h + attn_out,
+        h = ag.layer_norm(x + attn_out,
                           model[f"layer_{layer}_attn_norm_gain"],
                           model[f"layer_{layer}_attn_norm_bias"])
 
@@ -271,10 +278,17 @@ def _check_head(head: Head, kind: str, num_labels: int):
 
 def forward_sequence_cls(model: EncoderModel, head: Head, token_ids, attention_mask,
                          num_labels: int | None = None, dropout=None) -> Tensor:
-    """Class logits [batch, classes] read off the first (CLS) position."""
+    """Class logits [batch, classes] read off the first (CLS) position.
+
+    The loss reads only position 0, so the last encoder layer runs its
+    query, residuals and FFN on that row alone (``encode_hidden(...,
+    cls_only=True)``); its keys and values still come from every position.
+    The logits match the full-sequence path up to float32 roundoff, not
+    bit for bit. Token tagging and the MLM head keep the full path.
+    """
     if num_labels is not None:
         _check_head(head, "sequence", num_labels)
-    h = encode_hidden(model, token_ids, attention_mask, dropout)
+    h = encode_hidden(model, token_ids, attention_mask, dropout, cls_only=True)
     cls = ag.select(h, axis=1, index=0)
     return ag.matmul(cls, head.weight) + head.bias
 

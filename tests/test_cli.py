@@ -174,6 +174,29 @@ class TestExitCodes:
         assert rc == 1
         assert capsys.readouterr().err.startswith("CheckpointCorruptError:")
 
+    @pytest.mark.parametrize("command", ["pretrain", "distill", "condition", "finetune"])
+    def test_out_that_no_checkpoint_may_replace_fails_before_training(
+            self, cli_env, tmp_path, capsys, command):
+        data = cli_env["data"]
+        before = sorted(p.name for p in data.iterdir())
+        inputs = {
+            "pretrain": ["--corpus", cli_env["corpus_a"], *ARCH, *TRAIN],
+            "distill": ["--teacher", cli_env["teacher"], "--corpus", cli_env["corpus_a"],
+                        *ARCH, *TRAIN],
+            "condition": ["--teacher", cli_env["teacher"], "--corpus", cli_env["corpus_a"],
+                          *TRAIN],
+            "finetune": ["--model", cli_env["teacher"], "--train", cli_env["cls_train"],
+                         "--eval", cli_env["cls_eval"], "--task-kind", "classification",
+                         "--max-len", "16"],
+        }[command]
+        run = tmp_path / "r"
+        rc = main([command, "--run-dir", str(run), "--vocab", cli_env["vocab"], *inputs,
+                   "--out", str(data)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("UsageError:")
+        assert not (run / "loss_log.csv").exists()
+        assert sorted(p.name for p in data.iterdir()) == before
+
     def test_unknown_flag(self, capsys):
         assert main(["distill", "--frobnicate"]) == 2
 

@@ -1,5 +1,7 @@
 """Corpus IO, subsampling, and batch assembly."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from monodistil.data import (
     subsample,
 )
 from monodistil.errors import ConfigurationError, DataError
-from monodistil.tokenizer import SPECIAL_TOKENS, EncodedSequence, Vocab
+from monodistil.tokenizer import SPECIAL_TOKENS, EncodedSequence, Vocab, encode, encode_words
 
 
 def _plain_vocab(extra):
@@ -259,7 +261,50 @@ class TestLabeledBatches:
         batches, label_map = make_labeled_batches(
             path, word_vocab, max_len=8, batch_size=4, seed=0)
         assert len(batches) == 1
-        assert batches[0].labels.shape == (1, 8)
+        # cut to the longest row: [CLS] ka mina [SEP]
+        assert batches[0].labels.shape == (1, 4)
+
+    @pytest.mark.parametrize("kind,key", [("classification", "cls_train"),
+                                          ("tagging", "tag_train")])
+    def test_batches_cut_to_their_longest_row_lose_nothing(self, bundle_files, small_vocab,
+                                                           kind, key):
+        max_len, batch_size, seed = 32, 16, 0
+        batches, label_map = make_labeled_batches(
+            bundle_files[key], small_vocab, max_len, batch_size, seed, kind=kind)
+        # reference: every row encoded at max_len, in the seeded batch order
+        text = Path(bundle_files[key]).read_text(encoding="utf-8")
+        if kind == "classification":
+            rows = [line.split("\t") for line in text.splitlines()[1:] if line]
+            encoded = [encode(t, small_vocab, max_len) for t, _ in rows]
+            ref_labels = np.array([label_map[lab] for _, lab in rows])
+        else:
+            blocks = [[ln.split() for ln in b.splitlines()] for b in text.strip().split("\n\n")]
+            encoded, ref_labels = [], np.full((len(blocks), max_len), IGNORE_ID)
+            for i, block in enumerate(blocks):
+                seq, positions = encode_words([w for w, _ in block], small_vocab, max_len)
+                encoded.append(seq)
+                for pos, (_, tag) in zip(positions, block):
+                    if pos is not None:
+                        ref_labels[i, pos] = label_map[tag]
+        ref_ids = np.stack([e.token_ids for e in encoded])
+        ref_att = np.stack([e.attention_mask for e in encoded])
+        order = np.random.Generator(np.random.PCG64(seed)).permutation(len(encoded))
+
+        assert len(batches) == -(-len(encoded) // batch_size)
+        for start, batch in zip(range(0, len(order), batch_size), batches):
+            take = order[start:start + batch_size]
+            width = batch.token_ids.shape[1]
+            assert batch.attention_mask[:, -1].any()
+            np.testing.assert_array_equal(batch.token_ids, ref_ids[take, :width])
+            np.testing.assert_array_equal(batch.attention_mask, ref_att[take, :width])
+            assert (ref_ids[take, width:] == small_vocab.pad_id).all()
+            assert not ref_att[take, width:].any()
+            if kind == "classification":
+                np.testing.assert_array_equal(batch.labels, ref_labels[take])
+            else:
+                np.testing.assert_array_equal(batch.labels, ref_labels[take, :width])
+                assert (ref_labels[take, width:] == IGNORE_ID).all()
+        assert min(b.token_ids.shape[1] for b in batches) < max_len
 
     def test_tagging_unknown_label_names_record(self, tmp_path, word_vocab):
         path = tmp_path / "toy.conll"

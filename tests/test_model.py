@@ -1,13 +1,19 @@
 """Encoder forward pass, parameter accounting, and freezing."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
-from monodistil.autograd import Tensor, gather_rows, no_grad
+from monodistil.autograd import (Tensor, finite_difference_check, gather_rows, matmul,
+                                 no_grad, select)
+from monodistil.data import make_labeled_batches
 from monodistil.errors import ConfigurationError, DimensionError
 from monodistil.losses import cross_entropy, cross_entropy_masked
 from monodistil.model import (
     EncoderConfig,
+    EncoderModel,
+    Head,
     copy_embeddings_from,
     count_parameters,
     count_parameters_for_config,
@@ -22,6 +28,7 @@ from monodistil.model import (
     set_frozen,
 )
 from monodistil.optim import AdamW
+from test_acceptance import GRAD_TOL
 
 
 def _toy_batch(vocab_size, batch=2, seq=8, seed=0, n_pad=2):
@@ -213,6 +220,105 @@ class TestHeads:
             final = forward_token_cls(tiny_model, head, ids, mask, num_labels=2)
         preds = final.data.argmax(axis=-1)
         assert (preds[content] == labels[content]).mean() > 0.95
+
+
+def _two_layer_cls_case(vocab_size: int, hidden: int = 16, heads: int = 2):
+    """A 2-layer encoder, so both a full layer and the narrowed last layer run,
+    a sequence head, and a batch whose rows carry 0, 2 and 4 PAD positions."""
+    cfg = EncoderConfig(hidden_dim=hidden, intermediate_size=hidden, num_layers=2,
+                        num_heads=heads, max_positions=8, vocab_size=vocab_size)
+    model = init_random(cfg, seed=21)
+    head = init_head(cfg, "sequence", 3, seed=22)
+    ids, mask = _toy_batch(vocab_size, batch=3, seq=7, seed=23, n_pad=0)
+    for row, n_pad in ((1, 2), (2, 4)):
+        ids[row, 6 - n_pad] = 3
+        ids[row, 7 - n_pad:] = 0
+        mask[row, 7 - n_pad:] = False
+    return model, head, ids, mask, np.array([0, 2, 1])
+
+
+def _full_path_cls(model, head, ids, mask) -> Tensor:
+    """Reference: the whole last layer on every position, then the CLS row."""
+    return matmul(select(encode_hidden(model, ids, mask), 1, 0), head.weight) + head.bias
+
+
+class TestClsOnlyPath:
+    def test_every_gradient_passes_finite_differences(self):
+        model, head, ids, mask, labels = _two_layer_cls_case(vocab_size=12)
+        probes = {name: t for name, t in model.params.items()
+                  if not name.startswith("mlm_head")}
+        probes.update(head.params())
+
+        def loss_with(probe: Tensor, name: str) -> Tensor:
+            params = dict(probes, **{name: probe})
+            probed_head = Head("sequence", 3, params.pop("head_weight"), params.pop("head_bias"))
+            probed = EncoderModel(model.config, dict(model.params, **params))
+            return cross_entropy(forward_sequence_cls(probed, probed_head, ids, mask), labels)
+
+        errors = {}
+        for name, tensor in probes.items():
+            fn = partial(loss_with, name=name)
+            errors[name] = finite_difference_check(fn, tensor, h=1e-4)
+            if errors[name] > GRAD_TOL:
+                # as criterion 1: a wrong gradient fails at either step size
+                errors[name] = min(errors[name], finite_difference_check(fn, tensor, h=3e-5))
+        bad = {k: v for k, v in errors.items() if not v <= GRAD_TOL}
+        assert not bad, f"CLS-only gradients above tolerance: {bad}"
+
+    def test_matches_the_full_sequence_path(self, small_vocab):
+        model, head, ids, mask, labels = _two_layer_cls_case(len(small_vocab), hidden=64,
+                                                             heads=4)
+        runs = []
+        for forward in (forward_sequence_cls, _full_path_cls):
+            for t in list(model.params.values()) + [head.weight, head.bias]:
+                t.grad = None
+            logits = forward(model, head, ids, mask)
+            cross_entropy(logits, labels).backward()
+            grads = {name: t.grad for name, t in
+                     list(model.params.items()) + list(head.params().items())}
+            runs.append((logits.data, grads))
+        (cls_logits, cls_grads), (full_logits, full_grads) = runs
+        np.testing.assert_allclose(cls_logits, full_logits, rtol=0, atol=1e-6)
+        assert cls_grads["mlm_head_weight"] is None and full_grads["mlm_head_weight"] is None
+        for name, full in full_grads.items():
+            if full is None:
+                continue
+            if name.endswith("_key_bias"):
+                # softmax is shift-invariant, so the true gradient is exactly 0
+                np.testing.assert_allclose(cls_grads[name], 0.0, atol=1e-9, err_msg=name)
+                np.testing.assert_allclose(full, 0.0, atol=1e-9, err_msg=name)
+            else:
+                scale = float(np.abs(full).max())
+                np.testing.assert_allclose(cls_grads[name], full, rtol=0,
+                                           atol=1e-5 * scale, err_msg=name)
+
+
+class TestTrimmedTaskBatches:
+    @pytest.mark.parametrize("hidden,intermediate,layers", [(64, 256, 2), (32, 128, 1)])
+    def test_tagging_logits_match_the_padded_batch(self, bundle_files, small_vocab,
+                                                   hidden, intermediate, layers):
+        cfg = EncoderConfig(hidden, intermediate, layers, 4, 64, len(small_vocab))
+        model = init_random(cfg, seed=1)
+        batches, label_map = make_labeled_batches(
+            bundle_files["tag_train"], small_vocab, 32, 16, 0, kind="tagging")
+        head = init_head(cfg, "token", len(label_map), seed=0)
+        for batch in batches:
+            width = batch.token_ids.shape[1]
+            assert width < 32
+            ids = np.zeros((len(batch.token_ids), 32), dtype=np.int64)
+            ids[:, :width] = batch.token_ids
+            mask = np.zeros(ids.shape, dtype=bool)
+            mask[:, :width] = batch.attention_mask
+            real = batch.attention_mask
+            with no_grad():
+                hidden_cut = encode_hidden(model, batch.token_ids, real).data
+                hidden_pad = encode_hidden(model, ids, mask).data[:, :width]
+                logits_cut = forward_token_cls(model, head, batch.token_ids, real).data
+                logits_pad = forward_token_cls(model, head, ids, mask).data[:, :width]
+            if hidden == 64:
+                # 16-wide heads: the encoder output is unchanged bit for bit
+                np.testing.assert_array_equal(hidden_cut[real], hidden_pad[real])
+            np.testing.assert_allclose(logits_cut[real], logits_pad[real], rtol=0, atol=1e-6)
 
 
 class TestEmbeddingCopyAndFreeze:
