@@ -20,7 +20,7 @@ from .losses import cross_entropy, cross_entropy_masked, kl_divergence
 from .metrics import accuracy, decode_spans, span_f1
 from .model import (EncoderConfig, EncoderModel, Head, copy_embeddings_from,
                     count_parameters, forward_mlm, forward_sequence_cls,
-                    forward_token_cls, init_head, init_random, set_frozen)
+                    forward_token_cls, init_head, init_random)
 from .optim import AdamW, clip_grad_norm
 from .synth import SynthConfig, generate_bundle, write_bundle
 from .tokenizer import EncodedSequence, Vocab, decode, encode, train_vocab

@@ -1,10 +1,10 @@
 """Checkpoint directory format: a text manifest plus raw float32 weights.
 
 The manifest is INI-style text holding the architecture, the SHA-256 of the
-vocabulary the model was trained with and of the weights payload, frozen-group
-state, and a tensor table (name, shape, byte offset into weights.bin). Weights
-are little-endian float32, concatenated in table order. No wall-clock data is
-written so identical runs produce byte-identical checkpoints.
+vocabulary the model was trained with and of the weights payload, and a tensor
+table (name, shape, byte offset into weights.bin). Weights are little-endian
+float32, concatenated in table order. No wall-clock data is written so
+identical runs produce byte-identical checkpoints.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .autograd import Tensor
 from .errors import (CheckpointCorruptError, CheckpointError, CheckpointShapeError,
                      VocabMismatchError)
-from .model import (EncoderConfig, EncoderModel, Head, parameter_shapes, set_frozen)
+from .model import EncoderConfig, EncoderModel, Head, parameter_shapes
 from .tokenizer import Vocab
 
 MANIFEST_NAME = "manifest"
@@ -50,7 +50,6 @@ def _serialize(model: EncoderModel, vocab_hash: str, seed: int, source: str,
     parser["format"] = {"version": FORMAT_VERSION}
     parser["config"] = {name: repr(getattr(cfg, name)) for name in _CONFIG_FIELDS}
     parser["meta"] = {"vocab_sha256": vocab_hash, "seed": repr(int(seed)), "source": source}
-    parser["frozen"] = {"groups": ",".join(sorted(model.frozen_groups))}
 
     entries: list[tuple[str, np.ndarray]] = [(n, model.params[n].data)
                                              for n in parameter_shapes(cfg)]
@@ -159,10 +158,6 @@ def _load_tensor(payload: bytes, name: str, spec: str) -> np.ndarray:
     return flat.reshape(shape).copy()
 
 
-def _frozen_groups(parser: configparser.ConfigParser) -> list[str]:
-    return [g for g in parser.get("frozen", "groups", fallback="").split(",") if g]
-
-
 def read_checkpoint_meta(path) -> dict:
     """Config, vocab hash, seed, source, and head info without loading weights."""
     parser = _read_manifest(path)
@@ -172,7 +167,6 @@ def read_checkpoint_meta(path) -> dict:
         "vocab_sha256": meta.get("vocab_sha256", ""),
         "seed": int(meta.get("seed", "0")),
         "source": meta.get("source", ""),
-        "frozen_groups": _frozen_groups(parser),
         "head": dict(parser["head"]) if "head" in parser else None,
     }
 
@@ -215,8 +209,6 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
                 f"tensor {name} has shape {data.shape}, config requires {shape}")
         params[name] = Tensor(data, requires_grad=True)
     model = EncoderModel(config, params)
-    for group in _frozen_groups(parser):
-        set_frozen(model, group, True)
 
     head = None
     if "head" in parser:
@@ -234,7 +226,8 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
 
 
 def load_checkpoint(path, vocab: Vocab) -> EncoderModel:
-    """Rebuild a model, verifying vocabulary hash and every tensor shape."""
+    """Rebuild a fully trainable model, verifying vocabulary hash and every
+    tensor shape; an older manifest's ``[frozen]`` section is ignored."""
     model, _ = _load_parts(path, vocab)
     return model
 

@@ -10,6 +10,7 @@ output digests, the resolved config, logs, checkpoints, and reports.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import os
 import sys
@@ -20,8 +21,8 @@ from pathlib import Path
 from .checkpoint import (can_hold_checkpoint, checkpoint_digest, load_checkpoint,
                          load_finetuned, save_checkpoint)
 from .data import load_corpus, subsample
-from .distill import (DistillConfig, TrainState, condition_teacher, distill_run,
-                      load_distill_config, pretrain_mlm)
+from .distill import (MLM_ONLY_WEIGHTS, DistillConfig, TrainState, condition_teacher,
+                      distill_run, load_distill_config, pretrain_mlm)
 from .errors import (ConfigurationError, DataError, MonodistilError, UsageError,
                      VocabularyError)
 from .harness import (BASELINE_NAME, TaskSpec, emit_report, evaluate_task, finetune,
@@ -37,7 +38,6 @@ INIT_FLAG_MAP = {"none": "none", "copy": "copy", "copy-freeze": "copy_and_freeze
 
 _DISTILL_FLAGS = ("alpha_kl", "alpha_mlm", "temperature", "epochs", "batch_size",
                   "learning_rate", "mask_rate", "seed", "max_len")
-_MLM_ONLY_WEIGHTS = {"alpha_kl": 0.0, "alpha_mlm": 1.0}
 
 
 def _short_hash(*parts) -> str:
@@ -110,7 +110,7 @@ def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
     """Flags over config file over defaults. ``mlm_only`` pins the loss
     weights to MLM alone; a config file that sets them otherwise is an error."""
     overrides = {name: getattr(args, name, None) for name in _DISTILL_FLAGS}
-    fixed = _MLM_ONLY_WEIGHTS if mlm_only else {}
+    fixed = MLM_ONLY_WEIGHTS if mlm_only else {}
     if getattr(args, "config", None):
         return load_distill_config(args.config, overrides, fixed)
     return DistillConfig(**{k: v for k, v in overrides.items() if v is not None}, **fixed)
@@ -229,12 +229,12 @@ def cmd_finetune(args) -> int:
     tuned, head, report = finetune(model, task, vocab, args.model_name)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
     _save_output(run_dir, out, tuned, vocab, seed=task.seed, source="finetune", head=head)
-    metrics_path = run_dir / "metrics.csv"
-    metrics_path.write_text(
-        "model,task,metric_name,metric_value,runtime_seconds,seed,config_hash\n"
-        f"{report.model_name},{report.task_name},{report.metric_name},"
-        f"{report.metric_value!r},{report.runtime_seconds!r},{report.seed},"
-        f"{report.config_hash}\n", encoding="utf-8")
+    with open(run_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([
+            ("model", "task", "metric_name", "metric_value", "runtime_seconds", "seed",
+             "config_hash"),
+            (report.model_name, report.task_name, report.metric_name, repr(report.metric_value),
+             repr(report.runtime_seconds), report.seed, report.config_hash)])
     print(f"checkpoint: {out}")
     print(f"{report.metric_name}: {report.metric_value:.4f} "
           f"(runtime {report.runtime_seconds:.2f}s)")
@@ -253,7 +253,22 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _parse_fractions(text: str) -> list[float]:
+    """The comma-separated ``--fractions``, each a number in (0, 1]."""
+    fractions = []
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        try:
+            value = float(part)
+        except ValueError:
+            value = None
+        if value is None or not 0.0 < value <= 1.0:
+            raise UsageError(f"--fractions entry {part!r} is not a number in (0, 1]")
+        fractions.append(value)
+    return fractions
+
+
 def cmd_ablate(args) -> int:
+    fractions = _parse_fractions(args.fractions)
     run_dir = prepare_run("ablate", args,
                           [args.teacher, args.corpus, args.vocab, args.train, args.eval,
                            args.config])
@@ -264,7 +279,6 @@ def cmd_ablate(args) -> int:
     student_cfg = _encoder_config(args, vocab)
     task = _task_spec(args)
     if args.protocol == "fraction":
-        fractions = [float(f) for f in args.fractions.split(",") if f.strip()]
         report = run_ablation_data_fraction(teacher, corpus, fractions, task, cfg, vocab,
                                             student_cfg, run_dir=run_dir)
     elif args.protocol == "conditioning":

@@ -4,9 +4,9 @@ The objective is a weighted sum of two terms, both evaluated only at
 masked positions: KL(student || teacher) between the vocabulary
 distributions softened by temperature T, scaled by T^2, and the masked
 cross entropy against the gold tokens. The paper's abstract (PAPER.md)
-names no KL direction; this one is the package's choice. Setting the KL
-weight to zero reduces the loop to plain MLM pretraining along the
-bit-identical code path.
+names no KL direction; this one is the package's choice. Setting the
+weights to ``MLM_ONLY_WEIGHTS`` reduces the loop to plain MLM pretraining
+along the bit-identical code path.
 """
 
 from __future__ import annotations
@@ -27,11 +27,30 @@ from .data import Corpus, MaskedBatch, encode_corpus, make_mlm_batch
 from .errors import (ConfigurationError, DimensionError, NoMaskedPositionsError,
                      TrainingDivergedError)
 from .model import (EncoderConfig, EncoderModel, clone_model, copy_embeddings_from,
-                    forward_mlm, init_random, model_vocab_guard, set_frozen)
+                    forward_mlm, init_random, model_vocab_guard)
 from .optim import AdamW, train_step
 from .tokenizer import Vocab
 
 INIT_MODES = ("none", "copy", "copy_and_freeze")
+# pretraining and teacher conditioning train on the MLM loss alone, at weight 1
+MLM_ONLY_WEIGHTS = {"alpha_kl": 0.0, "alpha_mlm": 1.0}
+
+
+def check_training_settings(settings) -> None:
+    """The validation ``DistillConfig`` and ``TaskSpec`` share."""
+    # NaN passes every comparison below, so reject non-finite values first
+    for field in dataclasses.fields(settings):
+        value = getattr(settings, field.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
+    if not isinstance(settings.epochs, int) or settings.epochs < 1:
+        raise ConfigurationError(f"epochs must be a positive integer, got {settings.epochs!r}")
+    if settings.batch_size < 1:
+        raise ConfigurationError(f"batch_size must be positive, got {settings.batch_size}")
+    if settings.learning_rate <= 0:
+        raise ConfigurationError(f"learning_rate must be positive, got {settings.learning_rate}")
+    if not 0.0 <= settings.dropout_rate < 1.0:
+        raise ConfigurationError(f"dropout_rate must be in [0, 1), got {settings.dropout_rate}")
 
 
 @dataclass(frozen=True)
@@ -48,29 +67,17 @@ class DistillConfig:
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        # NaN passes every comparison below, so reject non-finite values first
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{field.name} must be finite, got {value!r}")
+        check_training_settings(self)
         if self.alpha_kl < 0 or self.alpha_mlm < 0:
             raise ConfigurationError("loss weights must be non-negative")
         if self.alpha_kl + self.alpha_mlm <= 0:
             raise ConfigurationError("at least one loss weight must be positive")
         if self.temperature <= 0:
             raise ConfigurationError(f"temperature must be positive, got {self.temperature}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ConfigurationError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
         if not 0.0 <= self.mask_rate < 1.0:
             raise ConfigurationError(f"mask_rate must be in [0, 1), got {self.mask_rate}")
         if self.max_len < 3:
             raise ConfigurationError(f"max_len must be at least 3, got {self.max_len}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
 
 @dataclass
@@ -132,17 +139,18 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
                     run_dir=None, clock=time.perf_counter) -> TrainState:
     if len(corpus.documents) == 0:
         raise ConfigurationError("cannot train on an empty corpus")
-    model_vocab_guard(student, vocab)
-    if teacher is not None:
-        model_vocab_guard(teacher, vocab)
+    for role, model in (("trained model", student), ("teacher", teacher)):
+        if model is not None:
+            model_vocab_guard(model, vocab)
+            if cfg.max_len > model.config.max_positions:  # MLM batches are max_len wide
+                raise ConfigurationError(f"max_len {cfg.max_len} exceeds the {role}'s "
+                                         f"max_positions {model.config.max_positions}")
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     dropout = (cfg.dropout_rate, np.random.Generator(np.random.PCG64(cfg.seed + 1))) \
         if cfg.dropout_rate > 0 else None
     sequences = encode_corpus(corpus, vocab, cfg.max_len)
     params = student.trainable_params()
-    if not params:
-        raise ConfigurationError("every student parameter group is frozen; nothing to train")
     optimizer = AdamW(params, learning_rate=cfg.learning_rate)
 
     rows: list[LogRow] = []
@@ -192,8 +200,8 @@ def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: Corpu
 
     ``init_from_teacher`` applies before the first step: "copy" seeds the
     student embeddings from the teacher, "copy_and_freeze" additionally
-    pins them for the whole run. The teacher is frozen on entry and is
-    never modified.
+    pins them for this run by clearing their ``requires_grad``. The teacher
+    only runs forward under ``no_grad`` and is never modified.
     """
     if init_from_teacher not in INIT_MODES:
         raise ConfigurationError(
@@ -204,27 +212,27 @@ def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: Corpu
             f"({teacher.config.vocab_size} vs {student_cfg.vocab_size}); "
             "both sides must share one vocabulary")
     model_vocab_guard(teacher, vocab)
-    set_frozen(teacher, "all", True)
 
     student = init_random(student_cfg, cfg.seed)
     if init_from_teacher in ("copy", "copy_and_freeze"):
         copy_embeddings_from(student, teacher)
     if init_from_teacher == "copy_and_freeze":
-        set_frozen(student, "embeddings", True)
+        student["token_embedding"].requires_grad = False
+        student["position_embedding"].requires_grad = False
 
     state = _train_mlm_loop(student, teacher, corpus, cfg, vocab, run_dir, clock)
     return student, state
 
 
 def _mlm_only(cfg: DistillConfig) -> DistillConfig:
-    """``cfg`` with the KL weight forced to zero and a positive MLM weight."""
-    return dataclasses.replace(cfg, alpha_kl=0.0, alpha_mlm=cfg.alpha_mlm or 1.0)
+    """``cfg`` with the loss weights set to ``MLM_ONLY_WEIGHTS``."""
+    return dataclasses.replace(cfg, **MLM_ONLY_WEIGHTS)
 
 
 def pretrain_mlm(model_cfg: EncoderConfig, corpus: Corpus, cfg: DistillConfig,
                  vocab: Vocab, run_dir=None,
                  clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
-    """Plain MLM training; the KL weight is forced to zero."""
+    """Plain MLM training under ``MLM_ONLY_WEIGHTS``, whatever ``cfg`` sets."""
     model = init_random(model_cfg, cfg.seed)
     state = _train_mlm_loop(model, None, corpus, _mlm_only(cfg), vocab, run_dir, clock)
     return model, state

@@ -13,11 +13,12 @@ import numpy as np
 from . import losses
 from .autograd import no_grad, parameters_finite
 from .data import IGNORE_ID, Corpus, make_labeled_batches, subsample
-from .distill import DistillConfig, condition_teacher, distill_run, write_resolved_config
+from .distill import (DistillConfig, check_training_settings, condition_teacher, distill_run,
+                      write_resolved_config)
 from .errors import ConfigurationError, EvaluationError, TrainingDivergedError
 from .metrics import accuracy, span_f1
 from .model import (EncoderConfig, EncoderModel, Head, clone_model, forward_sequence_cls,
-                    forward_token_cls, init_head, model_vocab_guard, parameter_groups)
+                    forward_token_cls, init_head, model_vocab_guard)
 from .optim import AdamW, train_step
 from .tokenizer import Vocab
 
@@ -42,14 +43,7 @@ class TaskSpec:
         if self.kind not in ("classification", "tagging"):
             raise ConfigurationError(
                 f"task kind must be 'classification' or 'tagging', got {self.kind!r}")
-        if not isinstance(self.epochs, int) or self.epochs < 1:
-            raise ConfigurationError(f"finetune epochs must be a positive integer, got {self.epochs!r}")
-        if self.batch_size < 1:
-            raise ConfigurationError(f"batch_size must be positive, got {self.batch_size}")
-        if self.learning_rate <= 0:
-            raise ConfigurationError(f"learning_rate must be positive, got {self.learning_rate}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigurationError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        check_training_settings(self)
 
     def config_hash(self) -> str:
         return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
@@ -158,8 +152,8 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
     head_kind = "sequence" if task.kind == "classification" else "token"
     head = init_head(tuned.config, head_kind, len(label_map), task.seed)
     # the masked-LM head takes no part in downstream tasks
-    mlm_keys = set(parameter_groups(tuned.config)["mlm_head"])
-    params = {k: v for k, v in tuned.trainable_params().items() if k not in mlm_keys}
+    params = {k: v for k, v in tuned.trainable_params().items()
+              if k not in ("mlm_head_weight", "mlm_head_bias")}
     params.update(head.params())
     optimizer = AdamW(params, learning_rate=task.learning_rate)
     dropout = (task.dropout_rate, np.random.Generator(np.random.PCG64(task.seed + 1))) \

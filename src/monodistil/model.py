@@ -8,7 +8,7 @@ forward, no segment embeddings. One frozen hyperparameter bundle
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,29 +78,10 @@ def parameter_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def parameter_groups(config: EncoderConfig) -> dict[str, list[str]]:
-    """Named freezable groups; "all" is accepted as the union pseudo-group."""
-    groups = {
-        "embeddings": ["token_embedding", "position_embedding"],
-        "embedding_norm": ["embedding_norm_gain", "embedding_norm_bias"],
-    }
-    for layer in range(config.num_layers):
-        members = [f"layer_{layer}_{proj}_{kind}"
-                   for proj in ("query", "key", "value", "attn_output")
-                   for kind in ("weight", "bias")]
-        members += [f"layer_{layer}_{part}" for part in
-                    ("attn_norm_gain", "attn_norm_bias", "ffn_inner_weight", "ffn_inner_bias",
-                     "ffn_output_weight", "ffn_output_bias", "ffn_norm_gain", "ffn_norm_bias")]
-        groups[f"layer_{layer}"] = members
-    groups["mlm_head"] = ["mlm_head_weight", "mlm_head_bias"]
-    return groups
-
-
 @dataclass
 class EncoderModel:
     config: EncoderConfig
     params: dict[str, Tensor]
-    frozen_groups: set = field(default_factory=set)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
@@ -135,7 +116,7 @@ def init_random(config: EncoderConfig, seed: int) -> EncoderModel:
 
 
 def clone_model(model: EncoderModel) -> EncoderModel:
-    """Independent copy with fresh trainable tensors and no frozen groups."""
+    """Independent copy whose tensors are all fresh and trainable."""
     params = {name: Tensor(t.data.copy(), requires_grad=True)
               for name, t in model.params.items()}
     return EncoderModel(model.config, params)
@@ -323,27 +304,6 @@ def copy_embeddings_from(student: EncoderModel, teacher: EncoderModel) -> None:
     student["token_embedding"].data[...] = teacher["token_embedding"].data
     student["position_embedding"].data[...] = \
         teacher["position_embedding"].data[:s_cfg.max_positions]
-
-
-def set_frozen(model: EncoderModel, group: str, frozen: bool) -> None:
-    """Freeze or thaw a parameter group; frozen groups never receive updates."""
-    groups = parameter_groups(model.config)
-    if group == "all":
-        targets = list(groups)
-    elif group in groups:
-        targets = [group]
-    else:
-        raise ConfigurationError(
-            f"unknown parameter group {group!r}; valid: {sorted(groups)} or 'all'")
-    for g in targets:
-        for name in groups[g]:
-            model.params[name].requires_grad = not frozen
-            if frozen:
-                model.params[name].grad = None
-        if frozen:
-            model.frozen_groups.add(g)
-        else:
-            model.frozen_groups.discard(g)
 
 
 def model_vocab_guard(model: EncoderModel, vocab: Vocab) -> None:

@@ -18,7 +18,7 @@ from monodistil.errors import (
     CheckpointShapeError,
     VocabMismatchError,
 )
-from monodistil.model import init_head, init_random, set_frozen
+from monodistil.model import init_head
 from monodistil.tokenizer import SPECIAL_TOKENS, Vocab
 
 
@@ -56,24 +56,24 @@ class TestRoundTrip:
         assert meta["seed"] == 3
         assert meta["source"] == "unit-test"
         assert meta["head"] is None
-        assert meta["frozen_groups"] == []
 
     def test_manifest_with_training_keys_still_loads(self, saved, tiny_model, small_vocab):
-        # manifests once also stored the dropout rate and the tied-head flag,
-        # and had no payload digest
+        # manifests once also stored the dropout rate, the tied-head flag and
+        # the frozen parameter groups, and had no payload digest
         manifest = saved / "manifest"
         text = manifest.read_text(encoding="utf-8")
         text = "".join(ln for ln in text.splitlines(keepends=True)
                        if not ln.startswith("payload_sha256"))
-        manifest.write_text(text.replace("[config]\n",
-                                         "[config]\ndropout_rate = 0.1\ntie_mlm_head = false\n"),
-                            encoding="utf-8")
-        assert "tie_mlm_head = false" in manifest.read_text(encoding="utf-8")
-        assert "payload_sha256" not in manifest.read_text(encoding="utf-8")
+        text = text.replace("[config]\n", "[config]\ndropout_rate = 0.1\ntie_mlm_head = false\n")
+        manifest.write_text(text + "[frozen]\ngroups = embeddings\n\n", encoding="utf-8")
+        text = manifest.read_text(encoding="utf-8")
+        assert "tie_mlm_head = false" in text and "[frozen]" in text
+        assert "payload_sha256" not in text
         loaded = load_checkpoint(saved, small_vocab)
         assert loaded.config == tiny_model.config
         for name in tiny_model.params:
             np.testing.assert_array_equal(loaded[name].data, tiny_model[name].data)
+            assert loaded[name].requires_grad, name
 
     def test_resave_replaces_an_existing_checkpoint(self, saved, tiny_model, small_vocab):
         tiny_model["token_embedding"].data[0, 0] += 1.0
@@ -107,16 +107,6 @@ class TestRoundTrip:
             save_checkpoint(tiny_model, tmp_path, small_vocab)
         assert notes.read_text(encoding="utf-8") == "keep me"
         assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
-
-    def test_frozen_groups_restored(self, tmp_path, tiny_cfg, small_vocab):
-        model = init_random(tiny_cfg, seed=0)
-        set_frozen(model, "embeddings", True)
-        path = tmp_path / "frozen"
-        save_checkpoint(model, path, small_vocab)
-        loaded = load_checkpoint(path, small_vocab)
-        assert loaded.frozen_groups == {"embeddings"}
-        assert not loaded["token_embedding"].requires_grad
-        assert loaded["embedding_norm_gain"].requires_grad
 
 
 class TestHeadRoundTrip:

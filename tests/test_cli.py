@@ -1,5 +1,6 @@
 """End-to-end command line flows, run directories, and exit codes."""
 
+import csv
 import hashlib
 import re
 from configparser import ConfigParser
@@ -165,6 +166,45 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("TrainingDivergedError:")
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_finetune_lr_is_a_usage_error(self, cli_env, student_ckpt, tmp_path,
+                                                     capsys, lr):
+        run = tmp_path / "r"
+        rc = main(["finetune", "--run-dir", str(run),
+                   "--model", student_ckpt, "--vocab", cli_env["vocab"],
+                   "--train", cli_env["cls_train"], "--eval", cli_env["cls_eval"],
+                   "--task-kind", "classification", "--max-len", "16",
+                   "--ft-lr", lr, "--out", str(tmp_path / "ckpt")])
+        assert rc == 2
+        assert "learning_rate must be finite" in capsys.readouterr().err
+        assert not (run / "metrics.csv").exists()
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("fractions, bad", [("1.0,abc", "abc"), ("1.0,0", "0"),
+                                                ("0.5,1.5", "1.5"), ("nan", "nan")])
+    def test_bad_ablation_fraction_fails_before_any_work(self, cli_env, tmp_path, capsys,
+                                                         fractions, bad):
+        run = tmp_path / "r"
+        rc = main(["ablate", "--run-dir", str(run), "--protocol", "fraction",
+                   "--teacher", cli_env["teacher"], "--corpus", cli_env["corpus_a"],
+                   "--vocab", cli_env["vocab"], *ARCH, *TRAIN,
+                   "--train", cli_env["cls_train"], "--eval", cli_env["cls_eval"],
+                   "--task-kind", "classification", "--fractions", fractions])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("UsageError:") and repr(bad) in err
+        assert not run.exists()
+
+    def test_max_len_beyond_positions_fails_before_training(self, cli_env, tmp_path, capsys):
+        run = tmp_path / "r"
+        rc = main(["pretrain", "--run-dir", str(run),
+                   "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"],
+                   *ARCH, "--max-len", "32", "--epochs", "1", "--out", str(tmp_path / "ckpt")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigurationError: max_len 32 exceeds")
+        assert not (run / "loss_log.csv").exists()
+        assert not (tmp_path / "ckpt").exists()
+
     def test_directory_that_is_no_checkpoint(self, cli_env, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -291,6 +331,22 @@ class TestDownstreamFlow:
                    "--max-len", "16"])
         assert rc == 0
         assert "accuracy:" in capsys.readouterr().out
+
+    def test_metrics_csv_quotes_names(self, cli_env, student_ckpt, tmp_path):
+        run = tmp_path / "run_ft"
+        rc = main(["finetune", "--run-dir", str(run),
+                   "--model", student_ckpt, "--vocab", cli_env["vocab"],
+                   "--train", cli_env["cls_train"], "--eval", cli_env["cls_eval"],
+                   "--task-kind", "classification", "--task-name", 'pol,"arity"',
+                   "--ft-epochs", "1", "--max-len", "16", "--model-name", 'd,BERT "x"'])
+        assert rc == 0
+        with open(run / "metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1
+        assert rows[0]["model"] == 'd,BERT "x"'
+        assert rows[0]["task"] == 'pol,"arity"'
+        assert rows[0]["seed"] == "0"
+        assert 0.0 <= float(rows[0]["metric_value"]) <= 1.0
 
     def test_ablation_and_report_reemission(self, cli_env, tmp_path, capsys):
         run = tmp_path / "run_ablate"

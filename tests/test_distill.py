@@ -181,7 +181,7 @@ class TestTrainingLoops:
 
     def test_zero_kl_path_matches_plain_pretraining(self, toy_teacher, tiny_cfg,
                                                     small_bundle, small_vocab):
-        cfg = DistillConfig(alpha_kl=0.0, alpha_mlm=0.5, epochs=1, batch_size=8,
+        cfg = DistillConfig(alpha_kl=0.0, alpha_mlm=1.0, epochs=1, batch_size=8,
                             max_len=16, seed=2)
         distilled, d_state = distill_run(toy_teacher, tiny_cfg, small_bundle.lang_a,
                                          cfg, small_vocab)
@@ -194,6 +194,7 @@ class TestTrainingLoops:
         before = _model_hash(toy_teacher)
         distill_run(toy_teacher, tiny_cfg, small_bundle.lang_a, fast_cfg, small_vocab)
         assert _model_hash(toy_teacher) == before
+        assert all(t.requires_grad for t in toy_teacher.params.values())
 
     def test_copy_and_freeze_pins_embeddings(self, toy_teacher, tiny_cfg, small_bundle,
                                              small_vocab, fast_cfg):
@@ -201,7 +202,7 @@ class TestTrainingLoops:
                                  small_vocab, init_from_teacher="copy_and_freeze")
         assert (student["token_embedding"].data ==
                 toy_teacher["token_embedding"].data).all()
-        assert "embeddings" in student.frozen_groups
+        assert not student["token_embedding"].requires_grad
 
     def test_copy_without_freeze_lets_embeddings_move(self, toy_teacher, tiny_cfg,
                                                       small_bundle, small_vocab, fast_cfg):
@@ -273,6 +274,19 @@ class TestTrainingLoops:
         with pytest.raises(ConfigurationError):
             distill_run(toy_teacher, other, small_bundle.lang_a, fast_cfg, small_vocab)
 
+    def test_max_len_beyond_positions_rejected_before_training(self, tiny_cfg, small_bundle,
+                                                               small_vocab, tmp_path):
+        # a training step would fail with DimensionError; the check comes first
+        cfg = DistillConfig(epochs=1, batch_size=8, max_len=tiny_cfg.max_positions + 1, seed=0)
+        with pytest.raises(ConfigurationError, match="the trained model's max_positions"):
+            pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab,
+                         run_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+        teacher = init_random(tiny_cfg, seed=11)
+        long_student = dataclasses.replace(tiny_cfg, max_positions=cfg.max_len)
+        with pytest.raises(ConfigurationError, match="the teacher's max_positions"):
+            distill_run(teacher, long_student, small_bundle.lang_a, cfg, small_vocab)
+
     def test_clock_injection(self, tiny_cfg, small_bundle, small_vocab):
         ticks = [0.0]
 
@@ -300,6 +314,18 @@ class TestConditioning:
         tuned = evaluate_masked(conditioned, small_bundle.heldout_a, small_vocab,
                                 max_len=16, seed=5)
         assert tuned["masked_ce"] <= base["masked_ce"]
+
+    def test_loss_weights_are_mlm_only_whatever_cfg_sets(self, tiny_cfg, small_bundle,
+                                                         small_vocab):
+        teacher = init_random(tiny_cfg, seed=21)
+        hashes = set()
+        for alpha_mlm in (0.5, 1.0):
+            cfg = DistillConfig(alpha_mlm=alpha_mlm, epochs=1, batch_size=8, max_len=16, seed=0)
+            conditioned, state = condition_teacher(teacher, small_bundle.lang_a, cfg,
+                                                   small_vocab)
+            assert (state.config.alpha_kl, state.config.alpha_mlm) == (0.0, 1.0)
+            hashes.add(_model_hash(conditioned))
+        assert len(hashes) == 1
 
     def test_configured_dropout_rate_is_applied(self, tiny_cfg, small_bundle, small_vocab):
         teacher = init_random(tiny_cfg, seed=21)

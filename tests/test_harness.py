@@ -51,6 +51,11 @@ class TestTaskSpec:
         with pytest.raises(ConfigurationError):
             TaskSpec("x", "classification", bundle_files["cls_train"],
                      bundle_files["cls_eval"], epochs=0)
+        for name in ("learning_rate", "dropout_rate"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
+                    TaskSpec("x", "classification", bundle_files["cls_train"],
+                             bundle_files["cls_eval"], **{name: value})
 
     def test_hash_depends_on_content(self, bundle_files):
         a = TaskSpec("x", "classification", bundle_files["cls_train"], bundle_files["cls_eval"])

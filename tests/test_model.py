@@ -25,7 +25,6 @@ from monodistil.model import (
     init_head,
     init_random,
     model_vocab_guard,
-    set_frozen,
 )
 from monodistil.optim import AdamW
 from test_acceptance import GRAD_TOL
@@ -357,7 +356,8 @@ class TestEmbeddingCopyAndFreeze:
 
     def test_frozen_embeddings_stay_put(self, tiny_cfg):
         model = init_random(tiny_cfg, seed=0)
-        set_frozen(model, "embeddings", True)
+        model["token_embedding"].requires_grad = False
+        model["position_embedding"].requires_grad = False
         before = model["token_embedding"].data.copy()
         opt = AdamW(model.trainable_params(), learning_rate=1e-2)
         ids, mask = _toy_batch(tiny_cfg.vocab_size, batch=2, seq=8)
@@ -368,36 +368,9 @@ class TestEmbeddingCopyAndFreeze:
             loss.backward()
             opt.step()
         assert (model["token_embedding"].data == before).all()
-        assert "embeddings" in model.frozen_groups
-
-    def test_unfrozen_embeddings_move(self, tiny_cfg):
-        model = init_random(tiny_cfg, seed=0)
-        set_frozen(model, "embeddings", True)
-        set_frozen(model, "embeddings", False)
-        before = model["token_embedding"].data.copy()
-        opt = AdamW(model.trainable_params(), learning_rate=1e-2)
-        ids, mask = _toy_batch(tiny_cfg.vocab_size, batch=2, seq=8)
-        logits = forward_mlm(model, ids, mask)
-        loss = cross_entropy_masked(logits, ids, mask & (ids >= 5))
-        loss.backward()
-        opt.step()
-        assert (model["token_embedding"].data != before).any()
-        assert "embeddings" not in model.frozen_groups
-
-    def test_freeze_all_empties_trainables(self, tiny_cfg):
-        model = init_random(tiny_cfg, seed=0)
-        set_frozen(model, "all", True)
-        assert model.trainable_params() == {}
-
-    def test_unknown_group_rejected(self, tiny_cfg):
-        model = init_random(tiny_cfg, seed=0)
-        with pytest.raises(ConfigurationError):
-            set_frozen(model, "decoder", True)
 
     def test_clone_is_independent(self, tiny_cfg):
         model = init_random(tiny_cfg, seed=0)
-        set_frozen(model, "embeddings", True)
         twin = clone_model(model)
-        assert twin.frozen_groups == set()
         twin["token_embedding"].data[0, 0] += 1.0
         assert model["token_embedding"].data[0, 0] != twin["token_embedding"].data[0, 0]
