@@ -18,7 +18,7 @@ from monodistil.errors import (
     CheckpointShapeError,
     VocabMismatchError,
 )
-from monodistil.model import init_head
+from monodistil.model import init_head, init_random
 from monodistil.tokenizer import SPECIAL_TOKENS, Vocab
 
 
@@ -107,6 +107,21 @@ class TestRoundTrip:
             save_checkpoint(tiny_model, tmp_path, small_vocab)
         assert notes.read_text(encoding="utf-8") == "keep me"
         assert [p.name for p in tmp_path.iterdir()] == ["notes.txt"]
+
+    def test_frozen_groups_restored(self, tmp_path, tiny_cfg, small_vocab):
+        # freezing is a run's requires_grad flags, not checkpoint state: a
+        # frozen group's weights come back, and every tensor loads trainable
+        model = init_random(tiny_cfg, seed=0)
+        for name in ("token_embedding", "position_embedding"):
+            model[name].requires_grad = False
+        path = tmp_path / "frozen"
+        save_checkpoint(model, path, small_vocab)
+        assert "[frozen]" not in (path / "manifest").read_text(encoding="utf-8")
+        loaded = load_checkpoint(path, small_vocab)
+        for name in model.params:
+            np.testing.assert_array_equal(loaded[name].data, model[name].data)
+            assert loaded[name].requires_grad, name
+        assert set(loaded.trainable_params()) == set(model.params)
 
 
 class TestHeadRoundTrip:
