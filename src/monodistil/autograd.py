@@ -14,6 +14,7 @@ import contextlib
 from typing import Callable, Iterable
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 from .errors import ConfigurationError, DimensionError, UsageError
 
@@ -112,9 +113,6 @@ class Tensor:
         if self.data.size != 1:
             raise DimensionError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def _accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into ``grad``; the first gradient may be kept as is.
@@ -367,25 +365,12 @@ def as_tensor(value, like: Tensor | None = None) -> Tensor:
     """Wrap scalars and arrays as constant tensors; pass tensors through."""
     if isinstance(value, Tensor):
         return value
-    dtype = like.data.dtype if like is not None else _DEFAULT_DTYPE
-    out = Tensor.__new__(Tensor)
-    out.data = np.asarray(value, dtype=dtype)
-    out.grad = None
-    out.requires_grad = False
-    out._parents = ()
-    out._backward = None
-    return out
+    return constant(value, like.data.dtype if like is not None else _DEFAULT_DTYPE)
 
 
 def constant(data, dtype=None) -> Tensor:
     """Non-trainable tensor wrapping ``data`` without casting integer arrays."""
-    out = Tensor.__new__(Tensor)
-    out.data = np.asarray(data, dtype=dtype) if dtype is not None else np.asarray(data)
-    out.grad = None
-    out.requires_grad = False
-    out._parents = ()
-    out._backward = None
-    return out
+    return Tensor._from_result(np.asarray(data, dtype=dtype), (), None)
 
 
 # -- binary / structural operations ---------------------------------------
@@ -421,20 +406,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _index(x: Tensor, key) -> Tensor:
+    """``x.data[key]``; the backward scatter-adds into the selected entries.
+
+    ``np.add.at`` sums repeated entries (an embedding id seen twice) and,
+    where each entry is selected once, gives the same bits as ``+=``.
+    """
+    def back():
+        if x.requires_grad:
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            np.add.at(x.grad, key, out.grad)
+
+    out = Tensor._from_result(x.data[key], (x,), back)
+    return out
+
+
 def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup ``weight[ids]`` with scatter-add backward."""
-    ids = np.asarray(ids)
-    out_data = weight.data[ids]
-    w = weight
-
-    def back():
-        if w.requires_grad:
-            if w.grad is None:
-                w.grad = np.zeros_like(w.data)
-            np.add.at(w.grad, ids, out.grad)
-
-    out = Tensor._from_result(out_data, (w,), back)
-    return out
+    return _index(weight, np.asarray(ids))
 
 
 def gather_rows(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -446,17 +436,7 @@ def gather_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != x.shape[:-1]:
         raise DimensionError(f"mask shape {mask.shape} does not cover tensor shape {x.shape}")
-    out_data = x.data[mask]
-    a = x
-
-    def back():
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[mask] += out.grad
-
-    out = Tensor._from_result(out_data, (a,), back)
-    return out
+    return _index(x, mask)
 
 
 def take_index(x: Tensor, idx: np.ndarray) -> Tensor:
@@ -464,50 +444,18 @@ def take_index(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx)
     if x.ndim != 2 or idx.shape != (x.shape[0],):
         raise DimensionError(f"take_index expects [N, C] and [N] index, got {x.shape} and {idx.shape}")
-    rows = np.arange(x.shape[0])
-    out_data = x.data[rows, idx]
-    a = x
-
-    def back():
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, (rows, idx), out.grad)
-
-    out = Tensor._from_result(out_data, (a,), back)
-    return out
+    return _index(x, (np.arange(x.shape[0]), idx))
 
 
 def select(x: Tensor, axis: int, index: int) -> Tensor:
     """Slice out a single index along ``axis``, dropping that axis."""
-    out_data = np.take(x.data, index, axis=axis)
-    a = x
-
-    def back():
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            sl = [slice(None)] * a.ndim
-            sl[axis] = index
-            a.grad[tuple(sl)] += out.grad
-
-    out = Tensor._from_result(out_data, (a,), back)
-    return out
+    axis = normalize_axis_index(axis, x.ndim)
+    return _index(x, (slice(None),) * axis + (index,))
 
 
 def slice_leading(x: Tensor, n: int) -> Tensor:
     """First ``n`` rows along the leading axis."""
-    out_data = x.data[:n]
-    a = x
-
-    def back():
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[:n] += out.grad
-
-    out = Tensor._from_result(out_data, (a,), back)
-    return out
+    return _index(x, slice(0, n))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:

@@ -54,11 +54,12 @@ def _digest(path: Path) -> str:
     return "stream"
 
 
-def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None) -> Path:
+def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=None) -> Path:
     """Create the run directory and record the manifest, with the digest of
     every input, before any work. ``checkpoint_out`` is the ``--out`` a
     training command will save its checkpoint to; one that no checkpoint
-    may replace is refused here, before training."""
+    may replace is refused here, before training. ``seed`` is the seed the
+    run uses where a config file may set it; by default ``--seed``, else 0."""
     if checkpoint_out is not None and not can_hold_checkpoint(checkpoint_out):
         raise UsageError(f"--out {checkpoint_out} is not a checkpoint directory; "
                          "name a new path or an existing checkpoint")
@@ -75,7 +76,7 @@ def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None) -> Pat
     parser["run"] = {
         "id": run_dir.name,
         "subcommand": subcommand,
-        "seed": str(getattr(args, "seed", None) if getattr(args, "seed", None) is not None else 0),
+        "seed": str(seed if seed is not None else args.seed or 0),
     }
     digests = {}
     for item in inputs:
@@ -177,11 +178,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    cfg = _resolve_distill_config(args, mlm_only=True)
     run_dir = prepare_run("pretrain", args, [args.corpus, args.vocab, args.config],
-                          checkpoint_out=args.out)
+                          checkpoint_out=args.out, seed=cfg.seed)
     vocab = _load_vocab(args)
     corpus = load_corpus(args.corpus)
-    cfg = _resolve_distill_config(args, mlm_only=True)
     model_cfg = _encoder_config(args, vocab)
     model, state = pretrain_mlm(model_cfg, corpus, cfg, vocab, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
@@ -190,12 +191,12 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_distill(args) -> int:
+    cfg = _resolve_distill_config(args)
     run_dir = prepare_run("distill", args, [args.teacher, args.corpus, args.vocab, args.config],
-                          checkpoint_out=args.out)
+                          checkpoint_out=args.out, seed=cfg.seed)
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
-    cfg = _resolve_distill_config(args)
     if args.fraction is not None:
         corpus = subsample(corpus, args.fraction, cfg.seed)
     student_cfg = _encoder_config(args, vocab)
@@ -208,12 +209,12 @@ def cmd_distill(args) -> int:
 
 
 def cmd_condition(args) -> int:
+    cfg = _resolve_distill_config(args, mlm_only=True)
     run_dir = prepare_run("condition", args, [args.teacher, args.corpus, args.vocab, args.config],
-                          checkpoint_out=args.out)
+                          checkpoint_out=args.out, seed=cfg.seed)
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
-    cfg = _resolve_distill_config(args, mlm_only=True)
     conditioned, state = condition_teacher(teacher, corpus, cfg, vocab, run_dir=run_dir)
     out = Path(args.out) if args.out else run_dir / "checkpoint"
     _save_output(run_dir, out, conditioned, vocab, seed=cfg.seed, source="condition")
@@ -269,13 +270,13 @@ def _parse_fractions(text: str) -> list[float]:
 
 def cmd_ablate(args) -> int:
     fractions = _parse_fractions(args.fractions)
+    cfg = _resolve_distill_config(args)
     run_dir = prepare_run("ablate", args,
                           [args.teacher, args.corpus, args.vocab, args.train, args.eval,
-                           args.config])
+                           args.config], seed=cfg.seed)
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
-    cfg = _resolve_distill_config(args)
     student_cfg = _encoder_config(args, vocab)
     task = _task_spec(args)
     if args.protocol == "fraction":

@@ -26,8 +26,8 @@ from .autograd import Tensor, no_grad, parameters_finite
 from .data import Corpus, MaskedBatch, encode_corpus, make_mlm_batch
 from .errors import (ConfigurationError, DimensionError, NoMaskedPositionsError,
                      TrainingDivergedError)
-from .model import (EncoderConfig, EncoderModel, clone_model, copy_embeddings_from,
-                    forward_mlm, init_random, model_vocab_guard)
+from .model import (EncoderConfig, EncoderModel, check_max_len, clone_model,
+                    copy_embeddings_from, forward_mlm, init_random, model_vocab_guard)
 from .optim import AdamW, train_step
 from .tokenizer import Vocab
 
@@ -142,9 +142,7 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
     for role, model in (("trained model", student), ("teacher", teacher)):
         if model is not None:
             model_vocab_guard(model, vocab)
-            if cfg.max_len > model.config.max_positions:  # MLM batches are max_len wide
-                raise ConfigurationError(f"max_len {cfg.max_len} exceeds the {role}'s "
-                                         f"max_positions {model.config.max_positions}")
+            check_max_len(model, cfg.max_len, role)  # MLM batches are max_len wide
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     dropout = (cfg.dropout_rate, np.random.Generator(np.random.PCG64(cfg.seed + 1))) \

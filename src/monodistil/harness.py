@@ -17,8 +17,8 @@ from .distill import (DistillConfig, check_training_settings, condition_teacher,
                       write_resolved_config)
 from .errors import ConfigurationError, EvaluationError, TrainingDivergedError
 from .metrics import accuracy, span_f1
-from .model import (EncoderConfig, EncoderModel, Head, clone_model, forward_sequence_cls,
-                    forward_token_cls, init_head, model_vocab_guard)
+from .model import (EncoderConfig, EncoderModel, Head, check_max_len, clone_model,
+                    forward_sequence_cls, forward_token_cls, init_head, model_vocab_guard)
 from .optim import AdamW, train_step
 from .tokenizer import Vocab
 
@@ -128,6 +128,7 @@ def evaluate_task(model: EncoderModel, head: Head, eval_path, kind: str, vocab: 
                   label_map: dict[str, int] | None = None) -> tuple[str, float]:
     """Score an already-finetuned model on one task file."""
     model_vocab_guard(model, vocab)
+    check_max_len(model, max_len)
     eval_batches, label_map = make_labeled_batches(
         eval_path, vocab, max_len, batch_size, seed, kind=kind, label_map=label_map)
     return _evaluate_task(kind, model, head, eval_batches, label_map)
@@ -142,6 +143,7 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
     the timed region.
     """
     model_vocab_guard(model, vocab)
+    check_max_len(model, task.max_len)
     train_batches, label_map = make_labeled_batches(
         task.train_path, vocab, task.max_len, task.batch_size, task.seed, kind=task.kind)
     eval_batches, _ = make_labeled_batches(
@@ -308,10 +310,11 @@ def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
     """One student per corpus fraction, each scored against the teacher."""
     if not fractions:
         raise ConfigurationError("need at least one fraction")
+    # subsampling first checks every fraction before any training
+    subsets = {f: subsample(corpus, f, cfg.seed) for f in sorted(set(fractions), reverse=True)}
     _, _, base_report = finetune(teacher, downstream, vocab, BASELINE_NAME)
     reports = [base_report]
-    for fraction in sorted(set(fractions), reverse=True):
-        sub = subsample(corpus, fraction, cfg.seed)
+    for fraction, sub in subsets.items():
         student, _ = distill_run(teacher, student_cfg, sub, cfg, vocab)
         name = f"{STUDENT_NAME} @{round(fraction * 100):d}%"
         _, _, rep = finetune(student, downstream, vocab, name)

@@ -306,6 +306,13 @@ def copy_embeddings_from(student: EncoderModel, teacher: EncoderModel) -> None:
         teacher["position_embedding"].data[:s_cfg.max_positions]
 
 
+def check_max_len(model: EncoderModel, max_len: int, role: str = "model") -> None:
+    """Batches up to ``max_len`` wide must fit the model's position table."""
+    if max_len > model.config.max_positions:
+        raise ConfigurationError(f"max_len {max_len} exceeds the {role}'s "
+                                 f"max_positions {model.config.max_positions}")
+
+
 def model_vocab_guard(model: EncoderModel, vocab: Vocab) -> None:
     if len(vocab) != model.config.vocab_size:
         raise DimensionError(

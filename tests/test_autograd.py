@@ -210,6 +210,42 @@ def test_structural_ops_route_gradients_to_their_slices():
     assert np.all(y.grad[:2] == 1.0) and np.all(y.grad[2:] == 0.0)
 
 
+_INDEX_OPS = {
+    "embedding": lambda x: embedding(x, np.array([[1, 3], [1, 0]])),
+    "gather_rows": lambda x: gather_rows(x, np.array([True, False, True, True])),
+    "take_index": lambda x: take_index(x, np.array([2, 0, 2, 1])),
+    "select": lambda x: select(x, axis=1, index=2),
+    "slice_leading": lambda x: slice_leading(x, 3),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_INDEX_OPS))
+def test_indexing_ops_accumulate_across_backward_calls(op):
+    rng = _rng(17)
+    x = Tensor(rng.standard_normal((4, 3)).astype(np.float32), requires_grad=True)
+    out_shape = _INDEX_OPS[op](x).shape
+    # integer weights keep every sum exact, so twice is exactly twice
+    weight = Tensor(rng.integers(-4, 5, size=out_shape).astype(np.float32))
+
+    (_INDEX_OPS[op](x) * weight).sum().backward()
+    first = x.grad.copy()
+    assert np.any(first != 0)
+    (_INDEX_OPS[op](x) * weight).sum().backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * first)
+
+
+def test_select_counts_a_negative_axis_from_the_end():
+    data = _rng(18).standard_normal((2, 3, 4)).astype(np.float32)
+    weight = _rng(19).standard_normal((2, 3)).astype(np.float32)
+    x = Tensor(data, requires_grad=True)
+    out = select(x, -1, 1)
+    np.testing.assert_array_equal(out.data, np.take(data, 1, axis=-1))
+    (out * Tensor(weight)).sum().backward()
+    expected = np.zeros_like(data)
+    expected[..., 1] = weight
+    np.testing.assert_array_equal(x.grad, expected)
+
+
 def test_forward_backward_bit_deterministic():
     def run():
         x = Tensor(_rng(12).standard_normal((6, 6)).astype(np.float32), requires_grad=True)

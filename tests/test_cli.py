@@ -36,6 +36,8 @@ def cli_env(tmp_path_factory):
         "corpus_a": str(data / "corpus_a.txt"),
         "cls_train": str(data / "cls_train.tsv"),
         "cls_eval": str(data / "cls_eval.tsv"),
+        "tag_train": str(data / "tag_train.conll"),
+        "tag_eval": str(data / "tag_eval.conll"),
         "teacher": str(teacher),
     }
 
@@ -205,6 +207,27 @@ class TestExitCodes:
         assert not (run / "loss_log.csv").exists()
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["finetune", "evaluate"])
+    def test_task_max_len_beyond_positions_fails_before_any_work(self, cli_env, student_ckpt,
+                                                                  tmp_path, capsys, command):
+        task = ["--eval", cli_env["tag_eval"], "--task-kind", "tagging"]
+        finetune = ["finetune", "--model", student_ckpt, "--vocab", cli_env["vocab"],
+                    "--train", cli_env["tag_train"], *task, "--ft-epochs", "1"]
+        model = student_ckpt
+        if command == "evaluate":
+            model = str(tmp_path / "tuned")
+            assert main([*finetune, "--run-dir", str(tmp_path / "run_ft"),
+                         "--max-len", "16", "--out", model]) == 0
+            capsys.readouterr()
+        run = tmp_path / "r"
+        argv = {"finetune": [*finetune, "--out", str(tmp_path / "ckpt")],
+                "evaluate": ["evaluate", "--model", model, "--vocab", cli_env["vocab"], *task]}
+        rc = main([*argv[command], "--run-dir", str(run), "--max-len", "32"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigurationError: max_len 32 exceeds")
+        assert not (run / "metrics.csv").exists()
+        assert not (tmp_path / "ckpt").exists()
+
     def test_directory_that_is_no_checkpoint(self, cli_env, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
@@ -280,6 +303,17 @@ class TestConfigPrecedence:
         assert err.startswith("ConfigurationError:")
         assert repr(line.split()[0]) in err
         assert not (tmp_path / "ckpt").exists()
+
+    def test_manifest_records_the_seed_a_config_file_sets(self, cli_env, tmp_path):
+        cfg_file = tmp_path / "f.ini"
+        cfg_file.write_text("[distill]\nseed = 5\n", encoding="utf-8")
+        run = tmp_path / "r"
+        rc = main(["pretrain", "--run-dir", str(run), "--config", str(cfg_file),
+                   "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"],
+                   *ARCH, *TRAIN, "--out", str(tmp_path / "ckpt")])
+        assert rc == 0
+        assert _manifest_section(run, "run")["seed"] == "5"
+        assert load_distill_config(run / "config.resolved").seed == 5
 
     def test_pretrain_reruns_from_its_resolved_config(self, cli_env, tmp_path):
         resolved = cli_env["root"] / "run_pretrain" / "config.resolved"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from monodistil import harness
+from monodistil.distill import DistillConfig
 from monodistil.errors import ConfigurationError, EvaluationError
 from monodistil.harness import (
     ComparisonRow,
@@ -119,6 +121,18 @@ class TestFinetune:
                                     small_vocab, max_len=16)
         assert name == "span_f1"
         assert value == rep.metric_value
+
+
+class TestAblation:
+    def test_bad_fraction_rejected_before_any_finetune(self, tiny_model, tiny_cfg, cls_task,
+                                                       small_bundle, small_vocab, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "finetune", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(ConfigurationError, match="fraction"):
+            harness.run_ablation_data_fraction(tiny_model, small_bundle.lang_a, [1.0, 0.0],
+                                               cls_task, DistillConfig(max_len=16),
+                                               small_vocab, tiny_cfg)
+        assert calls == []
 
 
 class TestMeasureSpeedup:
