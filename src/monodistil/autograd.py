@@ -1,6 +1,8 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-Values are stored as 32-bit floats; reductions accumulate in 64-bit.
+Values are stored as 32-bit floats; reductions accumulate in 64-bit,
+except ``_unbroadcast``, which sums a broadcast gradient (bias and gain
+gradients) back to its operand's shape in the gradient's own dtype.
 Every operation records a backward closure on a tape; calling
 ``backward()`` on a scalar output walks the tape in reverse topological
 order and accumulates gradients additively until they are zeroed.
@@ -39,6 +41,11 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED = prev
+
+
+def grad_enabled() -> bool:
+    """Whether new operations record onto the tape (False under ``no_grad``)."""
+    return _GRAD_ENABLED
 
 
 @contextlib.contextmanager
@@ -260,7 +267,7 @@ class Tensor:
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        inverse = tuple(int(np.argsort(axes)[i]) for i in range(len(axes)))
+        inverse = tuple(sorted(range(len(axes)), key=axes.__getitem__))
         a = self
         out_data = self.data.transpose(axes)
 
@@ -437,6 +444,17 @@ def gather_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     if mask.shape != x.shape[:-1]:
         raise DimensionError(f"mask shape {mask.shape} does not cover tensor shape {x.shape}")
     return _index(x, mask)
+
+
+def gather_positions(x: Tensor, positions: np.ndarray) -> Tensor:
+    """Rows ``x[b, positions[b, j]]`` of a [batch, seq, dim] tensor, as
+    [batch, m, dim] for an int [batch, m] ``positions``."""
+    positions = np.asarray(positions)
+    if x.ndim != 3 or positions.ndim != 2 or positions.shape[0] != x.shape[0]:
+        raise DimensionError(
+            f"gather_positions expects [B, S, D] and [B, M] positions, got {x.shape} "
+            f"and {positions.shape}")
+    return _index(x, (np.arange(x.shape[0])[:, None], positions))
 
 
 def take_index(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -146,7 +146,10 @@ def _require_checkpoint(path) -> Path:
     return p
 
 
-def _task_spec(args) -> TaskSpec:
+def _task_spec(args, seed: int | None = None) -> TaskSpec:
+    """The finetune task the flags describe; ``seed`` overrides ``--seed``."""
+    if seed is None:
+        seed = args.seed if args.seed is not None else 0
     return TaskSpec(
         name=args.task_name,
         kind=args.task_kind,
@@ -155,7 +158,7 @@ def _task_spec(args) -> TaskSpec:
         epochs=args.ft_epochs,
         learning_rate=args.ft_lr,
         batch_size=args.ft_batch_size,
-        seed=args.seed if args.seed is not None else 0,
+        seed=seed,
         max_len=args.max_len if args.max_len is not None else 32,
     )
 
@@ -278,7 +281,8 @@ def cmd_ablate(args) -> int:
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
     student_cfg = _encoder_config(args, vocab)
-    task = _task_spec(args)
+    # a seed set in --config trains the distilled students and the finetunes alike
+    task = _task_spec(args, seed=cfg.seed)
     if args.protocol == "fraction":
         report = run_ablation_data_fraction(teacher, corpus, fractions, task, cfg, vocab,
                                             student_cfg, run_dir=run_dir)

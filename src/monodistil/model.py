@@ -137,14 +137,18 @@ def _maybe_dropout(x: Tensor, dropout) -> Tensor:
 
 
 def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
-                  attention_mask: np.ndarray, dropout=None, cls_only: bool = False) -> Tensor:
+                  attention_mask: np.ndarray, dropout=None,
+                  positions: np.ndarray | None = None) -> Tensor:
     """Run the encoder stack; returns hidden states [batch, seq, hidden].
 
     ``dropout`` is a ``(rate, rng)`` pair for training-mode dropout; None
-    means inference. With ``cls_only`` the last layer still attends over
-    keys and values from every position but computes its query, attention
-    output, residuals and FFN for position 0 alone, and the result is
-    [batch, 1, hidden].
+    means inference. ``positions``, an int [batch, m] array, names for each
+    sequence the positions whose rows the last layer computes: that layer
+    still attends over keys and values from every position, but runs its
+    query, attention output, residuals and FFN on those rows alone, and the
+    result is [batch, m, hidden]. Each row goes through the same arithmetic
+    as on the full path, and BLAS rounds it alike when m >= 2; at m == 1
+    numpy switches to matrix-vector products, which round differently.
     """
     cfg = model.config
     token_ids = np.asarray(token_ids, dtype=np.int64)
@@ -182,10 +186,10 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
         def split_heads(x: Tensor) -> Tensor:
             return x.reshape((batch, -1, cfg.num_heads, cfg.head_dim)).transpose((0, 2, 1, 3))
 
-        # the query rows: every position, or only CLS in a cls_only last layer
+        # the query rows: every position, or the named ones in the last layer
         x = h
-        if cls_only and layer == cfg.num_layers - 1:
-            x = ag.select(h, 1, 0).reshape((batch, 1, cfg.hidden_dim))
+        if positions is not None and layer == cfg.num_layers - 1:
+            x = ag.gather_positions(h, positions)
         q = split_heads(proj("query", x))
         k = split_heads(proj("key", h))
         v = split_heads(proj("value", h))
@@ -215,11 +219,39 @@ def forward_mlm(model: EncoderModel, token_ids: np.ndarray, attention_mask: np.n
 
     With a boolean ``rows`` mask over [batch, seq], only those positions
     reach the head: the result is [n_rows, vocab] in C order of the mask.
+    Under ``no_grad`` they are also the only rows the last encoder layer
+    computes, with logits equal bit for bit to the full path's. With a tape
+    the last layer stays whole: its weight gradients would sum over fewer
+    rows in another grouping and so round differently.
     """
-    h = encode_hidden(model, token_ids, attention_mask, dropout)
+    positions = None
+    if rows is not None and not ag.grad_enabled():
+        positions, rows = _masked_slots(rows, np.shape(token_ids))
+    h = encode_hidden(model, token_ids, attention_mask, dropout, positions)
     if rows is not None:
         h = ag.gather_rows(h, rows)
     return ag.matmul(h, model["mlm_head_weight"]) + model["mlm_head_bias"]
+
+
+def _masked_slots(rows, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Query positions [batch, m] covering a boolean ``rows`` mask, and the
+    [batch, m] mask of slots that hold a masked position.
+
+    Each sequence lists its masked positions in order, so the true slots in
+    C order give the masked rows in C order of ``rows``. ``m`` is the
+    largest per-sequence count but at least 2, which keeps every last-layer
+    product a matrix-matrix one; spare slots repeat position 0.
+    """
+    rows = np.asarray(rows, dtype=bool)
+    if rows.ndim != 2 or rows.shape != shape:
+        raise DimensionError(f"rows mask {rows.shape} does not match [batch, seq] token ids "
+                             f"{shape}")
+    counts = rows.sum(axis=1)
+    width = max(int(counts.max(initial=0)), 2)
+    slots = np.arange(width) < counts[:, None]
+    positions = np.zeros(slots.shape, dtype=np.int64)
+    positions[slots] = np.nonzero(rows)[1]
+    return positions, slots
 
 
 @dataclass
@@ -261,15 +293,17 @@ def forward_sequence_cls(model: EncoderModel, head: Head, token_ids, attention_m
                          num_labels: int | None = None, dropout=None) -> Tensor:
     """Class logits [batch, classes] read off the first (CLS) position.
 
-    The loss reads only position 0, so the last encoder layer runs its
-    query, residuals and FFN on that row alone (``encode_hidden(...,
-    cls_only=True)``); its keys and values still come from every position.
-    The logits match the full-sequence path up to float32 roundoff, not
-    bit for bit. Token tagging and the MLM head keep the full path.
+    The loss reads only position 0, so the last encoder layer computes that
+    row alone (``positions`` of zeros); its keys and values still come from
+    every position. The logits match the full-sequence path up to float32
+    roundoff, not bit for bit: one query row makes matrix-vector products.
+    Token tagging keeps the full path.
     """
     if num_labels is not None:
         _check_head(head, "sequence", num_labels)
-    h = encode_hidden(model, token_ids, attention_mask, dropout, cls_only=True)
+    batch = np.shape(token_ids)[0]
+    h = encode_hidden(model, token_ids, attention_mask, dropout,
+                      positions=np.zeros((batch, 1), dtype=np.int64))
     cls = ag.select(h, axis=1, index=0)
     return ag.matmul(cls, head.weight) + head.bias
 

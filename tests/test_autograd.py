@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from monodistil import autograd
 from monodistil.autograd import (Tensor, constant, dropout, embedding,
-                                 finite_difference_check, gather_rows, layer_norm,
+                                 finite_difference_check, gather_positions, gather_rows,
+                                 layer_norm,
                                  log_softmax, matmul, no_grad, precision, select,
                                  slice_leading, softmax, take_index)
 from monodistil.errors import ConfigurationError, DimensionError, UsageError
@@ -181,6 +182,32 @@ def test_gather_rows_forward_and_mask_validation():
     np.testing.assert_array_equal(out.data, x.data[mask])
     with pytest.raises(DimensionError):
         gather_rows(x, np.ones((2, 2), dtype=bool))
+
+
+def test_gather_positions_forward_backward_and_validation():
+    x = Tensor(_rng(12).standard_normal((2, 4, 3)).astype(np.float32), requires_grad=True)
+    positions = np.array([[0, 3, 3], [2, 1, 0]])
+    out = gather_positions(x, positions)
+    np.testing.assert_array_equal(out.data, np.stack([x.data[0, [0, 3, 3]],
+                                                      x.data[1, [2, 1, 0]]]))
+    out.sum().backward()
+    expected = np.zeros((2, 4, 3), dtype=np.float32)
+    expected[0, 0], expected[0, 3] = 1.0, 2.0
+    expected[1, :3] = 1.0
+    np.testing.assert_array_equal(x.grad, expected)
+    with pytest.raises(DimensionError):
+        gather_positions(x, np.zeros((3, 1), dtype=np.int64))
+    with pytest.raises(DimensionError):
+        gather_positions(x, np.zeros(2, dtype=np.int64))
+
+
+def test_transpose_backward_applies_the_inverse_permutation():
+    data = _rng(13).standard_normal((2, 3, 4, 5)).astype(np.float32)
+    axes = (2, 0, 3, 1)
+    weight = _rng(14).standard_normal(data.transpose(axes).shape).astype(np.float32)
+    x = Tensor(data, requires_grad=True)
+    (x.transpose(axes) * Tensor(weight)).sum().backward()
+    np.testing.assert_array_equal(x.grad, weight.transpose(np.argsort(axes)))
 
 
 def test_take_index_validation():

@@ -315,6 +315,28 @@ class TestConfigPrecedence:
         assert _manifest_section(run, "run")["seed"] == "5"
         assert load_distill_config(run / "config.resolved").seed == 5
 
+    def test_ablate_finetunes_at_the_seed_a_config_file_sets(self, cli_env, tmp_path,
+                                                             monkeypatch):
+        from monodistil import harness
+
+        seeds = []
+
+        def spy(model, task, *args, **kwargs):
+            seeds.append(task.seed)
+            return real(model, task, *args, **kwargs)
+
+        real = harness.finetune
+        monkeypatch.setattr(harness, "finetune", spy)
+        cfg_file = tmp_path / "f.ini"
+        cfg_file.write_text("[distill]\nseed = 5\n", encoding="utf-8")
+        rc = main(["ablate", "--run-dir", str(tmp_path / "r"), "--protocol", "init",
+                   "--config", str(cfg_file), "--teacher", cli_env["teacher"],
+                   "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"], *ARCH, *TRAIN,
+                   "--train", cli_env["cls_train"], "--eval", cli_env["cls_eval"],
+                   "--task-kind", "classification", "--ft-epochs", "1"])
+        assert rc == 0
+        assert seeds == [5] * 4
+
     def test_pretrain_reruns_from_its_resolved_config(self, cli_env, tmp_path):
         resolved = cli_env["root"] / "run_pretrain" / "config.resolved"
         out = tmp_path / "teacher"

@@ -1,5 +1,6 @@
 """Encoder forward pass, parameter accounting, and freezing."""
 
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -290,6 +291,83 @@ class TestClsOnlyPath:
                 scale = float(np.abs(full).max())
                 np.testing.assert_allclose(cls_grads[name], full, rtol=0,
                                            atol=1e-5 * scale, err_msg=name)
+
+
+def _masked_rows_case(vocab_size: int, batch: int, seed: int):
+    """Width-32 batch whose rows carry 0 to 16 PAD columns, with one sequence
+    that has no masked position and one whose every real position is masked."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    seq = 32
+    lengths = rng.integers(16, seq + 1, size=batch)
+    lengths[0] = seq
+    mask = np.arange(seq) < lengths[:, None]
+    ids = np.where(mask, rng.integers(5, vocab_size, size=(batch, seq)), 0)
+    rows = mask & (rng.random((batch, seq)) < 0.15)
+    rows[0] = False
+    rows[1] = mask[1]
+    return ids, mask, rows
+
+
+def _gathered_full_path(model, ids, mask, rows) -> Tensor:
+    """Reference: the whole last layer on every position, then the rows."""
+    h = gather_rows(encode_hidden(model, ids, mask), rows)
+    return matmul(h, model["mlm_head_weight"]) + model["mlm_head_bias"]
+
+
+class TestMaskedRowsPath:
+    @pytest.mark.parametrize("batch", [8, 32])
+    @pytest.mark.parametrize("hidden,layers", [(64, 2), (32, 1)])
+    def test_no_grad_rows_match_the_full_path_bit_for_bit(self, small_vocab, hidden, layers,
+                                                          batch):
+        cfg = EncoderConfig(hidden, 4 * hidden, layers, 4, 32, len(small_vocab))
+        model = init_random(cfg, seed=5)
+        ids, mask, rows = _masked_rows_case(cfg.vocab_size, batch, seed=batch + hidden)
+        with no_grad():
+            full = forward_mlm(model, ids, mask)
+            reference = _gathered_full_path(model, ids, mask, rows)
+            picked = forward_mlm(model, ids, mask, rows=rows)
+        assert picked.shape == (int(rows.sum()), cfg.vocab_size)
+        np.testing.assert_array_equal(picked.data, reference.data)
+        np.testing.assert_array_equal(picked.data, gather_rows(full, rows).data)
+
+    @pytest.mark.parametrize("hidden", [64, 32])
+    def test_one_masked_row_per_sequence_still_matches(self, small_vocab, hidden):
+        # a single query row would turn the last layer's products into
+        # matrix-vector ones, which round differently
+        cfg = EncoderConfig(hidden, 4 * hidden, 1, 4, 32, len(small_vocab))
+        model = init_random(cfg, seed=6)
+        ids, mask, _ = _masked_rows_case(cfg.vocab_size, 8, seed=hidden)
+        rows = np.zeros_like(mask)
+        rows[np.arange(8), np.arange(8) + 3] = True
+        rows[2] = False
+        with no_grad():
+            reference = _gathered_full_path(model, ids, mask, rows)
+            picked = forward_mlm(model, ids, mask, rows=rows)
+        np.testing.assert_array_equal(picked.data, reference.data)
+
+    def test_grad_mode_keeps_the_full_last_layer(self, small_vocab):
+        cfg = EncoderConfig(32, 128, 2, 4, 32, len(small_vocab))
+        model = init_random(cfg, seed=7)
+        ids, mask, rows = _masked_rows_case(cfg.vocab_size, 8, seed=8)
+        runs = []
+        for forward in (lambda: forward_mlm(model, ids, mask, rows=rows),
+                        lambda: _gathered_full_path(model, ids, mask, rows)):
+            for t in model.params.values():
+                t.grad = None
+            logits = forward()
+            cross_entropy(logits, ids[rows]).backward()
+            runs.append((logits.data, {n: t.grad for n, t in model.params.items()}))
+        (logits, grads), (ref_logits, ref_grads) = runs
+        np.testing.assert_array_equal(logits, ref_logits)
+        for name, ref in ref_grads.items():
+            np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+
+    @pytest.mark.parametrize("grad", [False, True])
+    def test_rows_of_the_wrong_shape_are_rejected(self, tiny_model, tiny_cfg, grad):
+        ids, mask = _toy_batch(tiny_cfg.vocab_size, batch=2, seq=8)
+        rows = np.ones((2, 7), dtype=bool)
+        with pytest.raises(DimensionError), nullcontext() if grad else no_grad():
+            forward_mlm(tiny_model, ids, mask, rows=rows)
 
 
 class TestTrimmedTaskBatches:

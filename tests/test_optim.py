@@ -9,7 +9,7 @@ from monodistil.autograd import Tensor
 from monodistil.errors import UsageError
 from monodistil.losses import cross_entropy
 from monodistil.model import EncoderConfig, forward_mlm, init_random
-from monodistil.optim import AdamW, clip_grad_norm, train_step
+from monodistil.optim import BETA1, BETA2, EPSILON, AdamW, clip_grad_norm, train_step
 
 
 def _param(value, shape=()):
@@ -63,6 +63,38 @@ def test_step_count_increments_and_grads_survive_step():
     assert opt.step_count == 2
     opt.zero_grad()
     assert p.grad is None
+
+
+# 0.3 as well: at 0.5 a reordered decay product rounds alike
+@pytest.mark.parametrize("weight_decay", [0.0, 0.5, 0.3])
+def test_in_place_update_matches_the_textbook_formula_bit_for_bit(weight_decay):
+    rng = np.random.Generator(np.random.PCG64(11))
+    shapes = [(), (1,), (7,), (5, 3), (4, 2, 3), (64, 48)]
+    params = {f"p{i}": Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+              for i, s in enumerate(shapes)}
+    want = {n: p.data.copy() for n, p in params.items()}
+    moments = {n: (np.zeros_like(w), np.zeros_like(w)) for n, w in want.items()}
+    lr = 0.03
+    opt = AdamW(params, learning_rate=lr, weight_decay=weight_decay)
+    for step in range(1, 6):
+        for name, p in params.items():
+            p.grad = rng.standard_normal(p.shape).astype(np.float32)
+        opt.step()
+        bc1, bc2 = 1.0 - BETA1 ** step, 1.0 - BETA2 ** step
+        for name, p in params.items():
+            g, (m, v), w = p.grad, moments[name], want[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            w -= lr * ((m / bc1) / (np.sqrt(v / bc2) + EPSILON))
+            if weight_decay > 0.0:
+                w -= lr * weight_decay * w
+    for name, p in params.items():
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, want[name], err_msg=name)
+        np.testing.assert_array_equal(opt.first_moment[name], moments[name][0], err_msg=name)
+        np.testing.assert_array_equal(opt.second_moment[name], moments[name][1], err_msg=name)
 
 
 def test_loss_scale_invariance_of_update_direction():
