@@ -18,7 +18,7 @@ from monodistil.checkpoint import load_checkpoint
 from monodistil.cli import main as cli
 from monodistil.data import load_corpus
 from monodistil.distill import evaluate_masked
-from monodistil.harness import TaskSpec, emit_report, finetune, measure_speedup
+from monodistil.harness import TaskSpec, compare, emit_report
 from monodistil.tokenizer import Vocab
 
 
@@ -81,9 +81,7 @@ def main() -> None:
     task = TaskSpec(name="polarity", kind="classification",
                     train_path=str(data / "cls_train.tsv"),
                     eval_path=str(data / "cls_eval.tsv"), seed=args.seed)
-    _, _, teacher_report = finetune(teacher, task, vocab, "mBERT")
-    _, _, student_report = finetune(student, task, vocab, "dBERT")
-    comparison = measure_speedup([teacher_report, student_report], "mBERT")
+    comparison = compare([("mBERT", teacher), ("dBERT", student)], task, vocab)
     emit_report(comparison, "csv", work / "report.csv")
     emit_report(comparison, "markdown", work / "report.md")
     print((work / "report.md").read_text(encoding="utf-8"))

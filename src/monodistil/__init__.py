@@ -12,8 +12,8 @@ from .errors import (CheckpointCorruptError, CheckpointError, CheckpointShapeErr
                      ConfigurationError, DataError, DimensionError, EvaluationError,
                      MonodistilError, NoMaskedPositionsError, TrainingDivergedError,
                      UsageError, VocabMismatchError, VocabularyError)
-from .harness import (ComparisonReport, ComparisonRow, MetricReport, TaskSpec, emit_report,
-                      finetune, measure_speedup, parse_report_csv,
+from .harness import (ComparisonReport, ComparisonRow, MetricReport, TaskSpec, compare,
+                      emit_report, finetune, measure_speedup, parse_report_csv,
                       run_ablation_conditioning, run_ablation_data_fraction,
                       run_ablation_init)
 from .losses import cross_entropy, cross_entropy_masked, kl_divergence

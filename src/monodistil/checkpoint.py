@@ -4,7 +4,10 @@ The manifest is INI-style text holding the architecture, the SHA-256 of the
 vocabulary the model was trained with and of the weights payload, and a tensor
 table (name, shape, byte offset into weights.bin). Weights are little-endian
 float32, concatenated in table order. No wall-clock data is written so
-identical runs produce byte-identical checkpoints.
+identical runs produce byte-identical checkpoints. A finetuned checkpoint's
+``[head]`` names the head kind and its labels in id order, as a JSON list;
+the manifest is read and written without interpolation, so any name
+round-trips.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -46,7 +50,7 @@ def _serialize(model: EncoderModel, vocab_hash: str, seed: int, source: str,
                head: Head | None) -> tuple[str, bytes]:
     """Manifest text and weights payload; the manifest records the payload's sha256."""
     cfg = model.config
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser["format"] = {"version": FORMAT_VERSION}
     parser["config"] = {name: repr(getattr(cfg, name)) for name in _CONFIG_FIELDS}
     parser["meta"] = {"vocab_sha256": vocab_hash, "seed": repr(int(seed)), "source": source}
@@ -54,7 +58,8 @@ def _serialize(model: EncoderModel, vocab_hash: str, seed: int, source: str,
     entries: list[tuple[str, np.ndarray]] = [(n, model.params[n].data)
                                              for n in parameter_shapes(cfg)]
     if head is not None:
-        parser["head"] = {"kind": head.kind, "num_labels": repr(head.num_labels)}
+        parser["head"] = {"kind": head.kind,
+                          "labels": json.dumps(list(head.labels), ensure_ascii=False)}
         entries.append(("head_weight", head.weight.data))
         entries.append(("head_bias", head.bias.data))
 
@@ -120,7 +125,7 @@ def _read_manifest(path) -> configparser.ConfigParser:
     manifest_path = Path(path) / MANIFEST_NAME
     if not manifest_path.exists():
         raise CheckpointCorruptError(f"no manifest found under {path}")
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(manifest_path.read_text(encoding="utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -156,19 +161,6 @@ def _load_tensor(payload: bytes, name: str, spec: str) -> np.ndarray:
             f"tensor {name} spans bytes [{offset}, {end}) but payload has {len(payload)}")
     flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
     return flat.reshape(shape).copy()
-
-
-def read_checkpoint_meta(path) -> dict:
-    """Config, vocab hash, seed, source, and head info without loading weights."""
-    parser = _read_manifest(path)
-    meta = dict(parser["meta"])
-    return {
-        "config": _parse_config(parser),
-        "vocab_sha256": meta.get("vocab_sha256", ""),
-        "seed": int(meta.get("seed", "0")),
-        "source": meta.get("source", ""),
-        "head": dict(parser["head"]) if "head" in parser else None,
-    }
 
 
 def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
@@ -213,14 +205,21 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
     head = None
     if "head" in parser:
         kind = parser["head"].get("kind", "")
-        num_labels = parser["head"].getint("num_labels")
+        try:
+            labels = json.loads(parser["head"]["labels"])
+        except (KeyError, ValueError) as exc:
+            raise CheckpointCorruptError(f"[head] under {path} lists no readable label names; "
+                                         "finetune the model again") from exc
+        if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+            raise CheckpointCorruptError(f"[head] labels under {path} are not a list of names")
+        labels, num_labels = tuple(labels), len(labels)
         hw = _load_tensor(payload, "head_weight", table["head_weight"])
         hb = _load_tensor(payload, "head_bias", table["head_bias"])
         if hw.shape != (config.hidden_dim, num_labels) or hb.shape != (num_labels,):
             raise CheckpointShapeError(
                 f"head tensors {hw.shape}/{hb.shape} do not fit a {num_labels}-label head "
                 f"over hidden size {config.hidden_dim}")
-        head = Head(kind, num_labels, Tensor(hw, requires_grad=True),
+        head = Head(kind, labels, Tensor(hw, requires_grad=True),
                     Tensor(hb, requires_grad=True))
     return model, head
 

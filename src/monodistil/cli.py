@@ -4,7 +4,9 @@ Exit codes: 0 success, 2 for configuration/usage/data problems, 1 for
 any other failure. Errors print a single ``Class: message`` line on
 stderr. Each invocation owns one run directory (under $MONODISTIL_RUNS
 or ./runs unless --run-dir is given) holding a manifest with input and
-output digests, the resolved config, logs, checkpoints, and reports.
+output digests, the resolved config, logs, checkpoints, and reports. This
+module is the only writer of run directories: the library functions it
+calls return their results and write nothing.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from pathlib import Path
 
 from .checkpoint import (can_hold_checkpoint, checkpoint_digest, load_checkpoint,
                          load_finetuned, save_checkpoint)
-from .data import load_corpus, subsample
+from .data import load_corpus
 from .distill import (MLM_ONLY_WEIGHTS, DistillConfig, TrainState, condition_teacher,
-                      distill_run, load_distill_config, pretrain_mlm)
+                      distill_run, load_distill_config, pretrain_mlm, write_loss_log,
+                      write_resolved_config)
 from .errors import (ConfigurationError, DataError, MonodistilError, UsageError,
                      VocabularyError)
 from .harness import (BASELINE_NAME, TaskSpec, emit_report, evaluate_task, finetune,
@@ -101,10 +104,8 @@ def _record_outputs(run_dir: Path, outputs) -> None:
         parser.write(fh)
 
 
-def _save_output(run_dir: Path, out: Path, model, vocab, **meta) -> None:
-    """Save the checkpoint, then append its digest to the run manifest."""
-    save_checkpoint(model, out, vocab, **meta)
-    _record_outputs(run_dir, [out])
+def _checkpoint_out(args, run_dir: Path) -> Path:
+    return Path(args.out) if args.out else run_dir / "checkpoint"
 
 
 def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
@@ -117,7 +118,16 @@ def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
     return DistillConfig(**{k: v for k, v in overrides.items() if v is not None}, **fixed)
 
 
-def _print_training_result(out: Path, state: TrainState) -> int:
+def _finish_training(run_dir: Path, args, model, state: TrainState, vocab: Vocab,
+                     source: str) -> int:
+    """Write the loss log and the resolved config, save the checkpoint, and
+    list all three in the manifest."""
+    log, resolved = run_dir / "loss_log.csv", run_dir / "config.resolved"
+    write_loss_log(state, log)
+    write_resolved_config(state.config, resolved)
+    out = _checkpoint_out(args, run_dir)
+    save_checkpoint(model, out, vocab, seed=state.config.seed, source=source)
+    _record_outputs(run_dir, [log, resolved, out])
     last = state.log[-1]
     print(f"checkpoint: {out}")
     print(f"final_loss: {last.total:.6f} after {last.step} steps")
@@ -187,10 +197,8 @@ def cmd_pretrain(args) -> int:
     vocab = _load_vocab(args)
     corpus = load_corpus(args.corpus)
     model_cfg = _encoder_config(args, vocab)
-    model, state = pretrain_mlm(model_cfg, corpus, cfg, vocab, run_dir=run_dir)
-    out = Path(args.out) if args.out else run_dir / "checkpoint"
-    _save_output(run_dir, out, model, vocab, seed=cfg.seed, source="pretrain")
-    return _print_training_result(out, state)
+    model, state = pretrain_mlm(model_cfg, corpus, cfg, vocab)
+    return _finish_training(run_dir, args, model, state, vocab, "pretrain")
 
 
 def cmd_distill(args) -> int:
@@ -200,15 +208,10 @@ def cmd_distill(args) -> int:
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
-    if args.fraction is not None:
-        corpus = subsample(corpus, args.fraction, cfg.seed)
     student_cfg = _encoder_config(args, vocab)
-    init_mode = INIT_FLAG_MAP[args.init]
     student, state = distill_run(teacher, student_cfg, corpus, cfg, vocab,
-                                 init_from_teacher=init_mode, run_dir=run_dir)
-    out = Path(args.out) if args.out else run_dir / "checkpoint"
-    _save_output(run_dir, out, student, vocab, seed=cfg.seed, source="distill")
-    return _print_training_result(out, state)
+                                 init_from_teacher=INIT_FLAG_MAP[args.init])
+    return _finish_training(run_dir, args, student, state, vocab, "distill")
 
 
 def cmd_condition(args) -> int:
@@ -218,10 +221,8 @@ def cmd_condition(args) -> int:
     vocab = _load_vocab(args)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
-    conditioned, state = condition_teacher(teacher, corpus, cfg, vocab, run_dir=run_dir)
-    out = Path(args.out) if args.out else run_dir / "checkpoint"
-    _save_output(run_dir, out, conditioned, vocab, seed=cfg.seed, source="condition")
-    return _print_training_result(out, state)
+    conditioned, state = condition_teacher(teacher, corpus, cfg, vocab)
+    return _finish_training(run_dir, args, conditioned, state, vocab, "condition")
 
 
 def cmd_finetune(args) -> int:
@@ -231,14 +232,16 @@ def cmd_finetune(args) -> int:
     model = load_checkpoint(_require_checkpoint(args.model), vocab)
     task = _task_spec(args)
     tuned, head, report = finetune(model, task, vocab, args.model_name)
-    out = Path(args.out) if args.out else run_dir / "checkpoint"
-    _save_output(run_dir, out, tuned, vocab, seed=task.seed, source="finetune", head=head)
-    with open(run_dir / "metrics.csv", "w", newline="", encoding="utf-8") as fh:
+    out = _checkpoint_out(args, run_dir)
+    save_checkpoint(tuned, out, vocab, seed=task.seed, source="finetune", head=head)
+    metrics = run_dir / "metrics.csv"
+    with open(metrics, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([
             ("model", "task", "metric_name", "metric_value", "runtime_seconds", "seed",
              "config_hash"),
             (report.model_name, report.task_name, report.metric_name, repr(report.metric_value),
              repr(report.runtime_seconds), report.seed, report.config_hash)])
+    _record_outputs(run_dir, [out, metrics])
     print(f"checkpoint: {out}")
     print(f"{report.metric_name}: {report.metric_value:.4f} "
           f"(runtime {report.runtime_seconds:.2f}s)")
@@ -285,15 +288,17 @@ def cmd_ablate(args) -> int:
     task = _task_spec(args, seed=cfg.seed)
     if args.protocol == "fraction":
         report = run_ablation_data_fraction(teacher, corpus, fractions, task, cfg, vocab,
-                                            student_cfg, run_dir=run_dir)
+                                            student_cfg)
     elif args.protocol == "conditioning":
-        report = run_ablation_conditioning(teacher, corpus, task, cfg, vocab,
-                                           student_cfg, run_dir=run_dir)
+        report = run_ablation_conditioning(teacher, corpus, task, cfg, vocab, student_cfg)
     else:
-        report = run_ablation_init(teacher, corpus, task, cfg, vocab,
-                                   student_cfg, run_dir=run_dir)
-    _record_outputs(run_dir, [run_dir / "report.csv", run_dir / "report.md"])
-    print(f"report: {run_dir / 'report.md'}")
+        report = run_ablation_init(teacher, corpus, task, cfg, vocab, student_cfg)
+    resolved = run_dir / "config.resolved"
+    write_resolved_config(cfg, resolved)
+    outputs = [resolved, emit_report(report, "csv", run_dir / "report.csv"),
+               emit_report(report, "markdown", run_dir / "report.md")]
+    _record_outputs(run_dir, outputs)
+    print(f"report: {outputs[-1]}")
     for row in report.rows:
         diff = "" if row.perf_diff is None else f" diff={row.perf_diff:+.4f}"
         print(f"{row.model} | {row.task} | {row.metric_name}={row.metric_value:.4f}{diff}")
@@ -378,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha-mlm", dest="alpha_mlm", type=float, default=None)
     p.add_argument("--temperature", type=float, default=None)
     p.add_argument("--init", choices=tuple(INIT_FLAG_MAP), default="none")
-    p.add_argument("--fraction", type=float, default=None)
     p.add_argument("--out", help="checkpoint directory (default: <run>/checkpoint)")
     p.set_defaults(func=cmd_distill)
 

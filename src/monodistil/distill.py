@@ -7,6 +7,10 @@ cross entropy against the gold tokens. The paper's abstract (PAPER.md)
 names no KL direction; this one is the package's choice. Setting the
 weights to ``MLM_ONLY_WEIGHTS`` reduces the loop to plain MLM pretraining
 along the bit-identical code path.
+
+The loops write no files: they return a ``TrainState``, which
+``write_loss_log`` and ``write_resolved_config`` turn into a run's
+``loss_log.csv`` and ``config.resolved``.
 """
 
 from __future__ import annotations
@@ -136,7 +140,7 @@ def distill_loss(student_logits: Tensor, teacher_logits: Tensor | None,
 
 def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
                     corpus: Corpus, cfg: DistillConfig, vocab: Vocab,
-                    run_dir=None, clock=time.perf_counter) -> TrainState:
+                    clock=time.perf_counter) -> TrainState:
     if len(corpus.documents) == 0:
         raise ConfigurationError("cannot train on an empty corpus")
     for role, model in (("trained model", student), ("teacher", teacher)):
@@ -182,18 +186,12 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
             "training produced no steps (every batch had zero masked positions)")
     if not parameters_finite(params.values()):
         raise TrainingDivergedError(f"parameters are non-finite after step {step}")
-    state = TrainState(cfg, rows)
-    if run_dir is not None:
-        run_path = Path(run_dir)
-        run_path.mkdir(parents=True, exist_ok=True)
-        write_loss_log(state, run_path / "loss_log.csv")
-        write_resolved_config(cfg, run_path / "config.resolved")
-    return state
+    return TrainState(cfg, rows)
 
 
 def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: Corpus,
                 cfg: DistillConfig, vocab: Vocab, init_from_teacher: str = "none",
-                run_dir=None, clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
+                clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """Train a fresh student against a frozen teacher.
 
     ``init_from_teacher`` applies before the first step: "copy" seeds the
@@ -218,7 +216,7 @@ def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: Corpu
         student["token_embedding"].requires_grad = False
         student["position_embedding"].requires_grad = False
 
-    state = _train_mlm_loop(student, teacher, corpus, cfg, vocab, run_dir, clock)
+    state = _train_mlm_loop(student, teacher, corpus, cfg, vocab, clock)
     return student, state
 
 
@@ -228,21 +226,19 @@ def _mlm_only(cfg: DistillConfig) -> DistillConfig:
 
 
 def pretrain_mlm(model_cfg: EncoderConfig, corpus: Corpus, cfg: DistillConfig,
-                 vocab: Vocab, run_dir=None,
-                 clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
+                 vocab: Vocab, clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """Plain MLM training under ``MLM_ONLY_WEIGHTS``, whatever ``cfg`` sets."""
     model = init_random(model_cfg, cfg.seed)
-    state = _train_mlm_loop(model, None, corpus, _mlm_only(cfg), vocab, run_dir, clock)
+    state = _train_mlm_loop(model, None, corpus, _mlm_only(cfg), vocab, clock)
     return model, state
 
 
 def condition_teacher(teacher: EncoderModel, corpus: Corpus, cfg: DistillConfig,
-                      vocab: Vocab, run_dir=None,
-                      clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
+                      vocab: Vocab, clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """MLM-finetune a copy of the teacher on ``corpus``; the original is untouched."""
     model_vocab_guard(teacher, vocab)
     conditioned = clone_model(teacher)
-    state = _train_mlm_loop(conditioned, None, corpus, _mlm_only(cfg), vocab, run_dir, clock)
+    state = _train_mlm_loop(conditioned, None, corpus, _mlm_only(cfg), vocab, clock)
     return conditioned, state
 
 

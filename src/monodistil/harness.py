@@ -1,4 +1,9 @@
-"""Finetuning, speedup measurement, ablation protocols, and report emission."""
+"""Finetuning, speedup measurement, ablation protocols, and report emission.
+
+Each ablation protocol builds a list of named models and hands it to
+``compare``, which returns the ``ComparisonReport``; nothing here writes a
+run directory. ``emit_report`` writes a report as csv or markdown.
+"""
 
 from __future__ import annotations
 
@@ -13,8 +18,7 @@ import numpy as np
 from . import losses
 from .autograd import no_grad, parameters_finite
 from .data import IGNORE_ID, Corpus, make_labeled_batches, subsample
-from .distill import (DistillConfig, check_training_settings, condition_teacher, distill_run,
-                      write_resolved_config)
+from .distill import DistillConfig, check_training_settings, condition_teacher, distill_run
 from .errors import ConfigurationError, EvaluationError, TrainingDivergedError
 from .metrics import accuracy, span_f1
 from .model import (EncoderConfig, EncoderModel, Head, check_max_len, clone_model,
@@ -94,8 +98,8 @@ def _finetune_loss(kind: str, model, head, batch, dropout):
     return losses.cross_entropy_masked(logits, batch.labels, batch.labels != IGNORE_ID)
 
 
-def _evaluate_task(kind: str, model: EncoderModel, head: Head, eval_batches,
-                   label_map: dict[str, int]) -> tuple[str, float]:
+def _evaluate_task(kind: str, model: EncoderModel, head: Head,
+                   eval_batches) -> tuple[str, float]:
     if kind == "classification":
         preds, golds = [], []
         for batch in eval_batches:
@@ -106,7 +110,6 @@ def _evaluate_task(kind: str, model: EncoderModel, head: Head, eval_batches,
             golds.append(batch.labels)
         return "accuracy", accuracy(np.concatenate(preds), np.concatenate(golds))
 
-    id_to_tag = {i: tag for tag, i in label_map.items()}
     pred_tags: list[list[str]] = []
     gold_tags: list[list[str]] = []
     for batch in eval_batches:
@@ -118,20 +121,21 @@ def _evaluate_task(kind: str, model: EncoderModel, head: Head, eval_batches,
             keep = batch.labels[row] != IGNORE_ID
             if not keep.any():
                 continue
-            gold_tags.append([id_to_tag[int(t)] for t in batch.labels[row][keep]])
-            pred_tags.append([id_to_tag[int(t)] for t in hard[row][keep]])
+            gold_tags.append([head.labels[int(t)] for t in batch.labels[row][keep]])
+            pred_tags.append([head.labels[int(t)] for t in hard[row][keep]])
     return "span_f1", span_f1(pred_tags, gold_tags)
 
 
 def evaluate_task(model: EncoderModel, head: Head, eval_path, kind: str, vocab: Vocab,
-                  max_len: int = 32, batch_size: int = 16, seed: int = 0,
-                  label_map: dict[str, int] | None = None) -> tuple[str, float]:
-    """Score an already-finetuned model on one task file."""
+                  max_len: int = 32, batch_size: int = 16, seed: int = 0) -> tuple[str, float]:
+    """Score an already-finetuned model on one task file, reading its labels
+    with the head's label ids."""
     model_vocab_guard(model, vocab)
     check_max_len(model, max_len)
-    eval_batches, label_map = make_labeled_batches(
-        eval_path, vocab, max_len, batch_size, seed, kind=kind, label_map=label_map)
-    return _evaluate_task(kind, model, head, eval_batches, label_map)
+    eval_batches, _ = make_labeled_batches(
+        eval_path, vocab, max_len, batch_size, seed, kind=kind,
+        label_map={label: i for i, label in enumerate(head.labels)})
+    return _evaluate_task(kind, model, head, eval_batches)
 
 
 def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
@@ -152,7 +156,7 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
 
     tuned = clone_model(model)
     head_kind = "sequence" if task.kind == "classification" else "token"
-    head = init_head(tuned.config, head_kind, len(label_map), task.seed)
+    head = init_head(tuned.config, head_kind, tuple(label_map), task.seed)
     # the masked-LM head takes no part in downstream tasks
     params = {k: v for k, v in tuned.trainable_params().items()
               if k not in ("mlm_head_weight", "mlm_head_bias")}
@@ -174,7 +178,7 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
     if runtime <= 0:
         runtime = 1e-9
 
-    metric_name, value = _evaluate_task(task.kind, tuned, head, eval_batches, label_map)
+    metric_name, value = _evaluate_task(task.kind, tuned, head, eval_batches)
     report = MetricReport(model_name, task.name, metric_name, value, runtime,
                           task.seed, task.config_hash())
     return tuned, head, report
@@ -293,75 +297,55 @@ def parse_report_csv(path) -> ComparisonReport:
                             {m: float(np.mean(v)) for m, v in avg.items()})
 
 
-def _ablation_outputs(report: ComparisonReport, cfg: DistillConfig, run_dir) -> None:
-    if run_dir is None:
-        return
-    run_path = Path(run_dir)
-    run_path.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(cfg, run_path / "config.resolved")
-    emit_report(report, "csv", run_path / "report.csv")
-    emit_report(report, "markdown", run_path / "report.md")
+def compare(models: list[tuple[str, EncoderModel]], downstream: TaskSpec,
+            vocab: Vocab) -> ComparisonReport:
+    """Finetune each ``(name, model)`` on ``downstream`` in order and compare
+    them with the first, the baseline; a repeated name is an ``EvaluationError``."""
+    if not models:
+        raise ConfigurationError("need at least one model to compare")
+    reports = [finetune(model, downstream, vocab, name)[2] for name, model in models]
+    return measure_speedup(reports, models[0][0])
 
 
 def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
                                fractions: list[float], downstream: TaskSpec,
                                cfg: DistillConfig, vocab: Vocab,
-                               student_cfg: EncoderConfig, run_dir=None) -> ComparisonReport:
+                               student_cfg: EncoderConfig) -> ComparisonReport:
     """One student per corpus fraction, each scored against the teacher."""
     if not fractions:
         raise ConfigurationError("need at least one fraction")
     # subsampling first checks every fraction before any training
     subsets = {f: subsample(corpus, f, cfg.seed) for f in sorted(set(fractions), reverse=True)}
-    _, _, base_report = finetune(teacher, downstream, vocab, BASELINE_NAME)
-    reports = [base_report]
+    models = [(BASELINE_NAME, teacher)]
     for fraction, sub in subsets.items():
         student, _ = distill_run(teacher, student_cfg, sub, cfg, vocab)
-        name = f"{STUDENT_NAME} @{round(fraction * 100):d}%"
-        _, _, rep = finetune(student, downstream, vocab, name)
-        reports.append(rep)
-    report = measure_speedup(reports, BASELINE_NAME)
-    _ablation_outputs(report, cfg, run_dir)
-    return report
+        models.append((f"{STUDENT_NAME} @{round(fraction * 100):d}%", student))
+    return compare(models, downstream, vocab)
 
 
 def run_ablation_conditioning(teacher: EncoderModel, corpus: Corpus,
                               downstream: TaskSpec, cfg: DistillConfig, vocab: Vocab,
-                              student_cfg: EncoderConfig, run_dir=None) -> ComparisonReport:
+                              student_cfg: EncoderConfig) -> ComparisonReport:
     """Students and teachers with and without MLM conditioning on ``corpus``."""
     conditioned, _ = condition_teacher(teacher, corpus, cfg, vocab)
-
     student_raw, _ = distill_run(teacher, student_cfg, corpus, cfg, vocab)
     student_cond, _ = distill_run(conditioned, student_cfg, corpus, cfg, vocab)
-
-    reports = []
-    _, _, rep = finetune(teacher, downstream, vocab, BASELINE_NAME)
-    reports.append(rep)
-    _, _, rep = finetune(conditioned, downstream, vocab, f"{BASELINE_NAME} Conditioned")
-    reports.append(rep)
-    _, _, rep = finetune(student_raw, downstream, vocab, STUDENT_NAME)
-    reports.append(rep)
-    _, _, rep = finetune(student_cond, downstream, vocab, f"{STUDENT_NAME} Conditioned")
-    reports.append(rep)
-    report = measure_speedup(reports, BASELINE_NAME)
-    _ablation_outputs(report, cfg, run_dir)
-    return report
+    return compare([(BASELINE_NAME, teacher),
+                    (f"{BASELINE_NAME} Conditioned", conditioned),
+                    (STUDENT_NAME, student_raw),
+                    (f"{STUDENT_NAME} Conditioned", student_cond)], downstream, vocab)
 
 
 def run_ablation_init(teacher: EncoderModel, corpus: Corpus, downstream: TaskSpec,
-                      cfg: DistillConfig, vocab: Vocab, student_cfg: EncoderConfig,
-                      run_dir=None) -> ComparisonReport:
+                      cfg: DistillConfig, vocab: Vocab,
+                      student_cfg: EncoderConfig) -> ComparisonReport:
     """Students initialized blank, from teacher embeddings, and frozen-copied."""
     named_modes = [(STUDENT_NAME, "none"),
                    (f"{STUDENT_NAME} Init", "copy"),
                    (f"{STUDENT_NAME} Init+Freeze", "copy_and_freeze")]
-    reports = []
-    _, _, rep = finetune(teacher, downstream, vocab, BASELINE_NAME)
-    reports.append(rep)
+    models = [(BASELINE_NAME, teacher)]
     for name, mode in named_modes:
         student, _ = distill_run(teacher, student_cfg, corpus, cfg, vocab,
                                  init_from_teacher=mode)
-        _, _, rep = finetune(student, downstream, vocab, name)
-        reports.append(rep)
-    report = measure_speedup(reports, BASELINE_NAME)
-    _ablation_outputs(report, cfg, run_dir)
-    return report
+        models.append((name, student))
+    return compare(models, downstream, vocab)

@@ -259,7 +259,7 @@ class Head:
     """Single linear task head over encoder output positions."""
 
     kind: str
-    num_labels: int
+    labels: tuple[str, ...]   # label names in id order
     weight: Tensor
     bias: Tensor
 
@@ -267,18 +267,23 @@ class Head:
         if self.kind not in ("sequence", "token"):
             raise ConfigurationError(f"head kind must be 'sequence' or 'token', got {self.kind!r}")
 
+    @property
+    def num_labels(self) -> int:
+        return len(self.labels)
+
     def params(self) -> dict[str, Tensor]:
         return {"head_weight": self.weight, "head_bias": self.bias}
 
 
-def init_head(config: EncoderConfig, kind: str, num_labels: int, seed: int) -> Head:
-    if num_labels < 2:
-        raise ConfigurationError(f"a task head needs at least 2 labels, got {num_labels}")
+def init_head(config: EncoderConfig, kind: str, labels: tuple[str, ...], seed: int) -> Head:
+    """A fresh head over ``labels``, the label names in id order."""
+    if len(labels) < 2:
+        raise ConfigurationError(f"a task head needs at least 2 labels, got {len(labels)}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    weight = Tensor(truncated_normal(rng, (config.hidden_dim, num_labels), INIT_STD),
+    weight = Tensor(truncated_normal(rng, (config.hidden_dim, len(labels)), INIT_STD),
                     requires_grad=True)
-    bias = Tensor(np.zeros(num_labels, dtype=np.float32), requires_grad=True)
-    return Head(kind, num_labels, weight, bias)
+    bias = Tensor(np.zeros(len(labels), dtype=np.float32), requires_grad=True)
+    return Head(kind, labels, weight, bias)
 
 
 def _check_head(head: Head, kind: str, num_labels: int):

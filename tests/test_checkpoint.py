@@ -1,5 +1,7 @@
 """Checkpoint round-trips and corruption detection."""
 
+import configparser
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,6 @@ from monodistil.checkpoint import (
     checkpoint_digest,
     load_checkpoint,
     load_finetuned,
-    read_checkpoint_meta,
     save_checkpoint,
 )
 from monodistil.errors import (
@@ -51,11 +52,13 @@ class TestRoundTrip:
         assert checkpoint_digest(tmp_path / "ckpt3") != before
 
     def test_meta_fields(self, saved, tiny_model):
-        meta = read_checkpoint_meta(saved)
-        assert meta["config"] == tiny_model.config
-        assert meta["seed"] == 3
-        assert meta["source"] == "unit-test"
-        assert meta["head"] is None
+        manifest = configparser.ConfigParser()
+        manifest.read(saved / "manifest", encoding="utf-8")
+        assert {k: int(v) for k, v in manifest["config"].items()} == \
+            dataclasses.asdict(tiny_model.config)
+        assert manifest["meta"]["seed"] == "3"
+        assert manifest["meta"]["source"] == "unit-test"
+        assert "head" not in manifest
 
     def test_manifest_with_training_keys_still_loads(self, saved, tiny_model, small_vocab):
         # manifests once also stored the dropout rate, the tied-head flag and
@@ -126,21 +129,44 @@ class TestRoundTrip:
 
 class TestHeadRoundTrip:
     def test_finetuned_round_trip(self, tmp_path, tiny_model, tiny_cfg, small_vocab):
-        head = init_head(tiny_cfg, "sequence", 2, seed=5)
+        head = init_head(tiny_cfg, "sequence", ("neg", "pos"), seed=5)
         path = tmp_path / "tuned"
         save_checkpoint(tiny_model, path, small_vocab, head=head)
         model, loaded_head = load_finetuned(path, small_vocab)
         assert loaded_head.kind == "sequence"
+        assert loaded_head.labels == ("neg", "pos")
         assert loaded_head.num_labels == 2
         np.testing.assert_array_equal(loaded_head.weight.data, head.weight.data)
         np.testing.assert_array_equal(loaded_head.bias.data, head.bias.data)
+
+    def test_label_names_round_trip(self, tmp_path, tiny_model, tiny_cfg, small_vocab):
+        # names a TSV label column can hold: configparser's % interpolation,
+        # commas, spaces, and non-ASCII text must all come back unchanged
+        labels = ("50%", "a,b", "x y", "ñ")
+        path = tmp_path / "tuned"
+        save_checkpoint(tiny_model, path, small_vocab, head=init_head(tiny_cfg, "token", labels, 0))
+        _, loaded_head = load_finetuned(path, small_vocab)
+        assert loaded_head.labels == labels
+
+    def test_head_without_label_names_rejected(self, tmp_path, tiny_model, tiny_cfg,
+                                               small_vocab):
+        # earlier builds stored only num_labels; such a head cannot name its ids
+        path = tmp_path / "tuned"
+        save_checkpoint(tiny_model, path, small_vocab,
+                        head=init_head(tiny_cfg, "sequence", ("neg", "pos"), seed=5))
+        manifest = path / "manifest"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join("num_labels = 2" if ln.startswith("labels = ") else ln
+                                      for ln in lines) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointCorruptError, match="label names"):
+            load_finetuned(path, small_vocab)
 
     def test_load_finetuned_requires_head(self, saved, small_vocab):
         with pytest.raises(CheckpointCorruptError):
             load_finetuned(saved, small_vocab)
 
     def test_plain_load_ignores_head(self, tmp_path, tiny_model, tiny_cfg, small_vocab):
-        head = init_head(tiny_cfg, "token", 3, seed=1)
+        head = init_head(tiny_cfg, "token", ("B-ENT", "I-ENT", "O"), seed=1)
         path = tmp_path / "tuned"
         save_checkpoint(tiny_model, path, small_vocab, head=head)
         model = load_checkpoint(path, small_vocab)

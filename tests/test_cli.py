@@ -9,9 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monodistil.checkpoint import checkpoint_digest
+from monodistil.checkpoint import checkpoint_digest, load_finetuned
 from monodistil.cli import main
-from monodistil.distill import load_distill_config
+from monodistil.data import make_labeled_batches
+from monodistil.distill import MLM_ONLY_WEIGHTS, DistillConfig, load_distill_config
+from monodistil.harness import _evaluate_task
+from monodistil.tokenizer import Vocab
 
 ARCH = ["--hidden-dim", "16", "--intermediate-size", "32", "--num-layers", "1",
         "--num-heads", "2", "--max-positions", "16"]
@@ -65,6 +68,12 @@ def _file_digests(*paths) -> dict:
     return {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
 
 
+def _training_outputs(run_dir, checkpoint) -> dict:
+    """The ``[outputs]`` a training command records: log, config, checkpoint."""
+    return {**_file_digests(Path(run_dir, "loss_log.csv"), Path(run_dir, "config.resolved")),
+            str(checkpoint): checkpoint_digest(checkpoint)}
+
+
 class TestSynth:
     def test_same_seed_same_files(self, tmp_path):
         for sub in ("one", "two"):
@@ -104,11 +113,11 @@ class TestRunDirectory:
         root = cli_env["root"]
         teacher_digest = checkpoint_digest(cli_env["teacher"])
         assert _manifest_section(root / "run_pretrain", "outputs") == \
-            {cli_env["teacher"]: teacher_digest}
+            _training_outputs(root / "run_pretrain", cli_env["teacher"])
         assert _manifest_section(root / "run_distill", "inputs")[cli_env["teacher"]] == \
             teacher_digest
         assert _manifest_section(root / "run_distill", "outputs") == \
-            {student_ckpt: checkpoint_digest(student_ckpt)}
+            _training_outputs(root / "run_distill", student_ckpt)
 
     def test_runs_env_var_controls_default_location(self, cli_env, tmp_path, monkeypatch):
         monkeypatch.setenv("MONODISTIL_RUNS", str(tmp_path / "all_runs"))
@@ -125,6 +134,24 @@ class TestRunDirectory:
         cfg = load_distill_config(run / "config.resolved")
         assert cfg.epochs == 1
         assert Path(student_ckpt, "weights.bin").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "distill", "condition"])
+    def test_run_dir_files(self, cli_env, tmp_path, capsys, command):
+        inputs = {"pretrain": ARCH, "distill": ["--teacher", cli_env["teacher"], *ARCH],
+                  "condition": ["--teacher", cli_env["teacher"]]}[command]
+        run = tmp_path / "r"
+        assert main([command, "--run-dir", str(run), *inputs, "--corpus", cli_env["corpus_a"],
+                     "--vocab", cli_env["vocab"], *TRAIN, "--seed", "0"]) == 0
+        steps = int(re.search(r"after (\d+) steps", capsys.readouterr().out).group(1))
+        with open(run / "loss_log.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["step", "epoch", "total", "kl", "mlm", "grad_norm", "n_masked",
+                           "elapsed_seconds"]
+        assert [int(row[0]) for row in rows[1:]] == list(range(1, steps + 1))
+        weights = {} if command == "distill" else MLM_ONLY_WEIGHTS
+        assert load_distill_config(run / "config.resolved") == \
+            DistillConfig(epochs=1, batch_size=16, max_len=16, seed=0, **weights)
+        assert _manifest_section(run, "outputs") == _training_outputs(run, run / "checkpoint")
 
 
 class TestExitCodes:
@@ -154,6 +181,7 @@ class TestExitCodes:
                        "--lr", "1e6", "--out", str(tmp_path / "ckpt")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("TrainingDivergedError:")
+        assert not (tmp_path / "r" / "loss_log.csv").exists()
         assert not (tmp_path / "ckpt").exists()
 
     def test_diverging_finetune_fails_and_saves_nothing(self, cli_env, student_ckpt,
@@ -377,7 +405,8 @@ class TestDownstreamFlow:
         assert _manifest_section(tmp_path / "run_ft", "inputs")[student_ckpt] == \
             checkpoint_digest(student_ckpt)
         assert _manifest_section(tmp_path / "run_ft", "outputs") == \
-            {str(tuned): checkpoint_digest(tuned)}
+            {str(tuned): checkpoint_digest(tuned),
+             **_file_digests(tmp_path / "run_ft" / "metrics.csv")}
         out = capsys.readouterr().out
         assert "accuracy:" in out
 
@@ -420,7 +449,7 @@ class TestDownstreamFlow:
                      if ln.strip()]
         assert len(data_rows) == 4
         assert _manifest_section(run, "outputs") == \
-            _file_digests(report_csv, run / "report.md")
+            _file_digests(run / "config.resolved", report_csv, run / "report.md")
         out = capsys.readouterr().out
         assert "mBERT" in out
         assert "dBERT Init+Freeze" in out
@@ -441,4 +470,39 @@ class TestDownstreamFlow:
         conditioned = tmp_path / "run_cond" / "checkpoint"
         assert (conditioned / "weights.bin").exists()
         assert _manifest_section(tmp_path / "run_cond", "outputs") == \
-            {str(conditioned): checkpoint_digest(conditioned)}
+            _training_outputs(tmp_path / "run_cond", conditioned)
+
+    def test_evaluate_scores_with_the_checkpoints_labels(self, cli_env, student_ckpt,
+                                                         tmp_path, capsys):
+        # an eval file that lacks one of the training tags still reads each
+        # tag with the id the head was trained on
+        blocks = Path(cli_env["tag_eval"]).read_text(encoding="utf-8").strip().split("\n\n")
+        subset = tmp_path / "no_inside.conll"
+        subset.write_text("\n\n".join(b for b in blocks if "I-ENT" not in b) + "\n",
+                          encoding="utf-8")
+        tuned = tmp_path / "tuned"
+        task = ["--task-kind", "tagging", "--max-len", "16"]
+        assert main(["finetune", "--run-dir", str(tmp_path / "run_ft"), "--model", student_ckpt,
+                     "--vocab", cli_env["vocab"], "--train", cli_env["tag_train"],
+                     "--eval", cli_env["tag_eval"], *task, "--ft-epochs", "1",
+                     "--out", str(tuned)]) == 0
+        capsys.readouterr()
+        rc = main(["evaluate", "--run-dir", str(tmp_path / "run_eval"), "--model", str(tuned),
+                   "--vocab", cli_env["vocab"], "--eval", str(subset), *task])
+        assert rc == 0, capsys.readouterr().err
+        vocab = Vocab.load(cli_env["vocab"])
+        _, train_map = make_labeled_batches(cli_env["tag_train"], vocab, 16, 16, 0,
+                                            kind="tagging")
+        assert "I-ENT" in train_map
+        batches, _ = make_labeled_batches(subset, vocab, 16, 16, 0, kind="tagging",
+                                          label_map=train_map)
+        _, value = _evaluate_task("tagging", *load_finetuned(tuned, vocab), batches)
+        assert capsys.readouterr().out == f"span_f1: {value:.4f}\n"
+
+        unknown = tmp_path / "unknown.conll"
+        unknown.write_text(subset.read_text(encoding="utf-8").replace(" O\n", " X-NEW\n", 1),
+                           encoding="utf-8")
+        rc = main(["evaluate", "--run-dir", str(tmp_path / "run_bad"), "--model", str(tuned),
+                   "--vocab", cli_env["vocab"], "--eval", str(unknown), *task])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("DataError: record 0: label 'X-NEW'")

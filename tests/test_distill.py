@@ -248,15 +248,12 @@ class TestTrainingLoops:
         assert state.config.alpha_kl == 0.0
         assert all(row.kl == 0.0 for row in state.log)
 
-    def test_diverging_loss_raises_naming_the_step(self, tiny_cfg, small_bundle,
-                                                   small_vocab, tmp_path):
+    def test_diverging_loss_raises_naming_the_step(self, tiny_cfg, small_bundle, small_vocab):
         cfg = DistillConfig(epochs=2, batch_size=8, max_len=16, seed=0,
                             learning_rate=1e6)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(TrainingDivergedError, match=r"non-finite loss .* at step \d+"):
-            pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab,
-                         run_dir=tmp_path / "run")
-        assert not (tmp_path / "run" / "loss_log.csv").exists()
+            pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab)
 
     def test_non_finite_weights_after_last_step_raise(self, tiny_cfg, small_bundle,
                                                       small_vocab):
@@ -275,13 +272,11 @@ class TestTrainingLoops:
             distill_run(toy_teacher, other, small_bundle.lang_a, fast_cfg, small_vocab)
 
     def test_max_len_beyond_positions_rejected_before_training(self, tiny_cfg, small_bundle,
-                                                               small_vocab, tmp_path):
+                                                               small_vocab):
         # a training step would fail with DimensionError; the check comes first
         cfg = DistillConfig(epochs=1, batch_size=8, max_len=tiny_cfg.max_positions + 1, seed=0)
         with pytest.raises(ConfigurationError, match="the trained model's max_positions"):
-            pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab,
-                         run_dir=tmp_path / "run")
-        assert not (tmp_path / "run").exists()
+            pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab)
         teacher = init_random(tiny_cfg, seed=11)
         long_student = dataclasses.replace(tiny_cfg, max_positions=cfg.max_len)
         with pytest.raises(ConfigurationError, match="the teacher's max_positions"):
@@ -364,17 +359,6 @@ class TestEvaluateMasked:
 
 
 class TestRunArtifacts:
-    def test_run_dir_files(self, tiny_cfg, small_bundle, small_vocab, tmp_path):
-        cfg = DistillConfig(epochs=1, batch_size=8, max_len=16, seed=0)
-        run = tmp_path / "run"
-        _, state = pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab,
-                                run_dir=run)
-        log_lines = (run / "loss_log.csv").read_text(encoding="utf-8").strip().splitlines()
-        assert log_lines[0] == "step,epoch,total,kl,mlm,grad_norm,n_masked,elapsed_seconds"
-        assert len(log_lines) == len(state.log) + 1
-        reloaded = load_distill_config(run / "config.resolved")
-        assert reloaded == state.config
-
     def test_resolved_config_round_trip(self, tmp_path):
         cfg = DistillConfig(alpha_kl=0.25, temperature=3.5, epochs=2, batch_size=4,
                             mask_rate=0.2, max_len=24)

@@ -134,6 +134,36 @@ class TestAblation:
                                                small_vocab, tiny_cfg)
         assert calls == []
 
+    def test_colliding_fraction_labels_rejected(self, tiny_model, tiny_cfg, cls_task,
+                                                small_bundle, small_vocab):
+        # 0.5 and 0.501 both name their student "dBERT @50%"
+        with pytest.raises(EvaluationError, match="duplicate report for model 'dBERT @50%'"):
+            harness.run_ablation_data_fraction(tiny_model, small_bundle.lang_a, [0.5, 0.501],
+                                               cls_task, DistillConfig(epochs=1, max_len=16),
+                                               small_vocab, tiny_cfg)
+
+
+class TestCompare:
+    def test_models_finetune_in_order_against_the_first(self, tiny_model, tiny_cfg, cls_task,
+                                                        small_vocab):
+        from monodistil.model import init_random
+        other = init_random(tiny_cfg, seed=77)
+        report = harness.compare([("base", tiny_model), ("other", other)], cls_task,
+                                 small_vocab)
+        assert report.baseline == "base"
+        assert [row.model for row in report.rows] == ["base", "other"]
+        _, _, alone = finetune(other, cls_task, small_vocab, "other")
+        assert report.rows[1].metric_value == alone.metric_value
+        assert report.rows[1].perf_diff == alone.metric_value - report.rows[0].metric_value
+
+    def test_repeated_name_rejected(self, tiny_model, cls_task, small_vocab):
+        with pytest.raises(EvaluationError, match="duplicate"):
+            harness.compare([("m", tiny_model), ("m", tiny_model)], cls_task, small_vocab)
+
+    def test_empty_list_rejected(self, cls_task, small_vocab):
+        with pytest.raises(ConfigurationError):
+            harness.compare([], cls_task, small_vocab)
+
 
 class TestMeasureSpeedup:
     def test_equal_runtimes_give_unit_speedup(self):

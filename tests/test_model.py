@@ -171,8 +171,8 @@ class TestForward:
 
 class TestHeads:
     def test_head_shapes_and_determinism(self, tiny_cfg, tiny_model):
-        head_a = init_head(tiny_cfg, "sequence", 2, seed=0)
-        head_b = init_head(tiny_cfg, "sequence", 2, seed=0)
+        head_a = init_head(tiny_cfg, "sequence", ("a", "b"), seed=0)
+        head_b = init_head(tiny_cfg, "sequence", ("a", "b"), seed=0)
         assert (head_a.weight.data == head_b.weight.data).all()
         ids, mask = _toy_batch(tiny_cfg.vocab_size, batch=4, seq=8)
         with no_grad():
@@ -180,27 +180,27 @@ class TestHeads:
         assert logits.data.shape == (4, 2)
 
     def test_token_head_shape(self, tiny_cfg, tiny_model):
-        head = init_head(tiny_cfg, "token", 3, seed=0)
+        head = init_head(tiny_cfg, "token", ("a", "b", "c"), seed=0)
         ids, mask = _toy_batch(tiny_cfg.vocab_size, batch=2, seq=8)
         with no_grad():
             logits = forward_token_cls(tiny_model, head, ids, mask, num_labels=3)
         assert logits.data.shape == (2, 8, 3)
 
     def test_kind_mismatch_rejected(self, tiny_cfg, tiny_model):
-        head = init_head(tiny_cfg, "token", 2, seed=0)
+        head = init_head(tiny_cfg, "token", ("a", "b"), seed=0)
         ids, mask = _toy_batch(tiny_cfg.vocab_size)
         with pytest.raises(ConfigurationError):
             forward_sequence_cls(tiny_model, head, ids, mask, num_labels=2)
 
     def test_label_count_mismatch_rejected(self, tiny_cfg, tiny_model):
-        head = init_head(tiny_cfg, "sequence", 2, seed=0)
+        head = init_head(tiny_cfg, "sequence", ("a", "b"), seed=0)
         ids, mask = _toy_batch(tiny_cfg.vocab_size)
         with pytest.raises(ConfigurationError):
             forward_sequence_cls(tiny_model, head, ids, mask, num_labels=3)
 
     def test_minimum_label_count(self, tiny_cfg):
         with pytest.raises(ConfigurationError):
-            init_head(tiny_cfg, "sequence", 1, seed=0)
+            init_head(tiny_cfg, "sequence", ("a",), seed=0)
 
     def test_head_learns_separable_toy_task(self, tiny_cfg, tiny_model):
         # label equals token identity: a frozen encoder plus linear probe must fit it
@@ -208,7 +208,7 @@ class TestHeads:
         mask = np.ones((1, 8), dtype=bool)
         labels = np.where(ids == 7, 0, 1)
         content = ids >= 5
-        head = init_head(tiny_cfg, "token", 2, seed=3)
+        head = init_head(tiny_cfg, "token", ("a", "b"), seed=3)
         opt = AdamW(head.params(), learning_rate=0.1, weight_decay=0.0)
         for _ in range(40):
             logits = forward_token_cls(tiny_model, head, ids, mask, num_labels=2)
@@ -228,7 +228,7 @@ def _two_layer_cls_case(vocab_size: int, hidden: int = 16, heads: int = 2):
     cfg = EncoderConfig(hidden_dim=hidden, intermediate_size=hidden, num_layers=2,
                         num_heads=heads, max_positions=8, vocab_size=vocab_size)
     model = init_random(cfg, seed=21)
-    head = init_head(cfg, "sequence", 3, seed=22)
+    head = init_head(cfg, "sequence", ("a", "b", "c"), seed=22)
     ids, mask = _toy_batch(vocab_size, batch=3, seq=7, seed=23, n_pad=0)
     for row, n_pad in ((1, 2), (2, 4)):
         ids[row, 6 - n_pad] = 3
@@ -251,7 +251,8 @@ class TestClsOnlyPath:
 
         def loss_with(probe: Tensor, name: str) -> Tensor:
             params = dict(probes, **{name: probe})
-            probed_head = Head("sequence", 3, params.pop("head_weight"), params.pop("head_bias"))
+            probed_head = Head("sequence", head.labels, params.pop("head_weight"),
+                               params.pop("head_bias"))
             probed = EncoderModel(model.config, dict(model.params, **params))
             return cross_entropy(forward_sequence_cls(probed, probed_head, ids, mask), labels)
 
@@ -378,7 +379,7 @@ class TestTrimmedTaskBatches:
         model = init_random(cfg, seed=1)
         batches, label_map = make_labeled_batches(
             bundle_files["tag_train"], small_vocab, 32, 16, 0, kind="tagging")
-        head = init_head(cfg, "token", len(label_map), seed=0)
+        head = init_head(cfg, "token", tuple(label_map), seed=0)
         for batch in batches:
             width = batch.token_ids.shape[1]
             assert width < 32

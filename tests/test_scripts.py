@@ -22,7 +22,9 @@ def test_run_pipeline(tmp_path):
     result = _run_script("run_pipeline.py", tmp_path, "--workdir", str(work), "--docs", "40",
                          "--heldout", "10", "--teacher-epochs", "1")
     assert result.returncode == 0, result.stderr
-    assert "| mBERT |" in (work / "report.md").read_text(encoding="utf-8")
+    report = (work / "report.md").read_text(encoding="utf-8")
+    assert "baseline: mBERT" in report
+    assert "| mBERT |" in report and "| dBERT |" in report
     assert (work / "report.csv").exists()
 
 
