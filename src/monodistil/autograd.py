@@ -43,11 +43,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def grad_enabled() -> bool:
-    """Whether new operations record onto the tape (False under ``no_grad``)."""
-    return _GRAD_ENABLED
-
-
 @contextlib.contextmanager
 def precision(dtype):
     """Temporarily change the dtype newly created tensors default to.

@@ -225,6 +225,16 @@ def cmd_condition(args) -> int:
     return _finish_training(run_dir, args, conditioned, state, vocab, "condition")
 
 
+def _write_metrics(run_dir: Path, row: tuple) -> Path:
+    """Write the one-row ``metrics.csv`` of a scored run and return its path."""
+    metrics = run_dir / "metrics.csv"
+    with open(metrics, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([
+            ("model", "task", "metric_name", "metric_value", "runtime_seconds", "seed",
+             "config_hash"), row])
+    return metrics
+
+
 def cmd_finetune(args) -> int:
     run_dir = prepare_run("finetune", args, [args.model, args.vocab, args.train, args.eval],
                           checkpoint_out=args.out)
@@ -234,13 +244,9 @@ def cmd_finetune(args) -> int:
     tuned, head, report = finetune(model, task, vocab, args.model_name)
     out = _checkpoint_out(args, run_dir)
     save_checkpoint(tuned, out, vocab, seed=task.seed, source="finetune", head=head)
-    metrics = run_dir / "metrics.csv"
-    with open(metrics, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([
-            ("model", "task", "metric_name", "metric_value", "runtime_seconds", "seed",
-             "config_hash"),
-            (report.model_name, report.task_name, report.metric_name, repr(report.metric_value),
-             repr(report.runtime_seconds), report.seed, report.config_hash)])
+    metrics = _write_metrics(run_dir, (
+        report.model_name, report.task_name, report.metric_name, repr(report.metric_value),
+        repr(report.runtime_seconds), report.seed, report.config_hash))
     _record_outputs(run_dir, [out, metrics])
     print(f"checkpoint: {out}")
     print(f"{report.metric_name}: {report.metric_value:.4f} "
@@ -249,13 +255,17 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    prepare_run("evaluate", args, [args.model, args.vocab, args.eval])
+    run_dir = prepare_run("evaluate", args, [args.model, args.vocab, args.eval])
     vocab = _load_vocab(args)
     model, head = load_finetuned(_require_checkpoint(args.model), vocab)
+    seed = args.seed if args.seed is not None else 0
     metric_name, value = evaluate_task(
         model, head, args.eval, args.task_kind, vocab,
-        max_len=args.max_len if args.max_len is not None else 32,
-        seed=args.seed if args.seed is not None else 0)
+        max_len=args.max_len if args.max_len is not None else 32, seed=seed)
+    # evaluate trains nothing and has no task config: no runtime, no config hash
+    metrics = _write_metrics(run_dir, (args.model, args.eval, metric_name, repr(value), "",
+                                       seed, ""))
+    _record_outputs(run_dir, [metrics])
     print(f"{metric_name}: {value:.4f}")
     return 0
 

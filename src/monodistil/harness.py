@@ -303,8 +303,20 @@ def compare(models: list[tuple[str, EncoderModel]], downstream: TaskSpec,
     them with the first, the baseline; a repeated name is an ``EvaluationError``."""
     if not models:
         raise ConfigurationError("need at least one model to compare")
+    _check_unique_names([name for name, _ in models], downstream)
     reports = [finetune(model, downstream, vocab, name)[2] for name, model in models]
     return measure_speedup(reports, models[0][0])
+
+
+def _check_unique_names(names: list[str], downstream: TaskSpec) -> None:
+    """Raise ``measure_speedup``'s ``EvaluationError`` for a repeated name
+    before anything is trained or finetuned."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise EvaluationError(
+                f"duplicate report for model {name!r} task {downstream.name!r}")
+        seen.add(name)
 
 
 def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
@@ -314,12 +326,14 @@ def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
     """One student per corpus fraction, each scored against the teacher."""
     if not fractions:
         raise ConfigurationError("need at least one fraction")
-    # subsampling first checks every fraction before any training
+    # every fraction and every name is checked before any training
     subsets = {f: subsample(corpus, f, cfg.seed) for f in sorted(set(fractions), reverse=True)}
+    names = {f: f"{STUDENT_NAME} @{round(f * 100):d}%" for f in subsets}
+    _check_unique_names([BASELINE_NAME, *names.values()], downstream)
     models = [(BASELINE_NAME, teacher)]
     for fraction, sub in subsets.items():
         student, _ = distill_run(teacher, student_cfg, sub, cfg, vocab)
-        models.append((f"{STUDENT_NAME} @{round(fraction * 100):d}%", student))
+        models.append((names[fraction], student))
     return compare(models, downstream, vocab)
 
 

@@ -219,13 +219,15 @@ def forward_mlm(model: EncoderModel, token_ids: np.ndarray, attention_mask: np.n
 
     With a boolean ``rows`` mask over [batch, seq], only those positions
     reach the head: the result is [n_rows, vocab] in C order of the mask.
-    Under ``no_grad`` they are also the only rows the last encoder layer
-    computes, with logits equal bit for bit to the full path's. With a tape
-    the last layer stays whole: its weight gradients would sum over fewer
-    rows in another grouping and so round differently.
+    They are also the only rows the last encoder layer computes, with and
+    without a tape, and the logits equal the full path's bit for bit. With
+    a tape, the last layer's bias and gain gradients sum over the
+    [batch, m] slots rather than every position, so they and the gradients
+    upstream of them round differently, at about 1e-7 relative. Dropout in
+    the last layer draws masks of the narrowed shapes.
     """
     positions = None
-    if rows is not None and not ag.grad_enabled():
+    if rows is not None:
         positions, rows = _masked_slots(rows, np.shape(token_ids))
     h = encode_hidden(model, token_ids, attention_mask, dropout, positions)
     if rows is not None:

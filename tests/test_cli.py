@@ -410,12 +410,25 @@ class TestDownstreamFlow:
         out = capsys.readouterr().out
         assert "accuracy:" in out
 
+        run_eval = tmp_path / "run_eval"
         rc = main(["evaluate", "--model", str(tuned), "--vocab", cli_env["vocab"],
-                   "--run-dir", str(tmp_path / "run_eval"),
+                   "--run-dir", str(run_eval),
                    "--eval", cli_env["cls_eval"], "--task-kind", "classification",
                    "--max-len", "16"])
         assert rc == 0
-        assert "accuracy:" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert printed.startswith("accuracy:")
+        assert _manifest_section(run_eval, "outputs") == _file_digests(run_eval / "metrics.csv")
+        with open(tmp_path / "run_ft" / "metrics.csv", newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        with open(run_eval / "metrics.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == header and len(rows) == 2
+        row = dict(zip(header, rows[1]))
+        assert row == {"model": str(tuned), "task": cli_env["cls_eval"],
+                       "metric_name": "accuracy", "metric_value": row["metric_value"],
+                       "runtime_seconds": "", "seed": "0", "config_hash": ""}
+        assert printed == f"accuracy: {float(row['metric_value']):.4f}\n"
 
     def test_metrics_csv_quotes_names(self, cli_env, student_ckpt, tmp_path):
         run = tmp_path / "run_ft"
@@ -498,6 +511,9 @@ class TestDownstreamFlow:
                                           label_map=train_map)
         _, value = _evaluate_task("tagging", *load_finetuned(tuned, vocab), batches)
         assert capsys.readouterr().out == f"span_f1: {value:.4f}\n"
+        with open(tmp_path / "run_eval" / "metrics.csv", newline="", encoding="utf-8") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert (row["metric_name"], row["metric_value"]) == ("span_f1", repr(value))
 
         unknown = tmp_path / "unknown.conll"
         unknown.write_text(subset.read_text(encoding="utf-8").replace(" O\n", " X-NEW\n", 1),
@@ -506,3 +522,4 @@ class TestDownstreamFlow:
                    "--vocab", cli_env["vocab"], "--eval", str(unknown), *task])
         assert rc == 2
         assert capsys.readouterr().err.startswith("DataError: record 0: label 'X-NEW'")
+        assert not (tmp_path / "run_bad" / "metrics.csv").exists()

@@ -135,12 +135,17 @@ class TestAblation:
         assert calls == []
 
     def test_colliding_fraction_labels_rejected(self, tiny_model, tiny_cfg, cls_task,
-                                                small_bundle, small_vocab):
+                                                small_bundle, small_vocab, monkeypatch):
         # 0.5 and 0.501 both name their student "dBERT @50%"
+        calls = []
+        monkeypatch.setattr(harness, "distill_run",
+                            lambda *args, **kwargs: calls.append("distill_run"))
+        monkeypatch.setattr(harness, "finetune", lambda *args, **kwargs: calls.append("finetune"))
         with pytest.raises(EvaluationError, match="duplicate report for model 'dBERT @50%'"):
             harness.run_ablation_data_fraction(tiny_model, small_bundle.lang_a, [0.5, 0.501],
                                                cls_task, DistillConfig(epochs=1, max_len=16),
                                                small_vocab, tiny_cfg)
+        assert calls == []
 
 
 class TestCompare:
@@ -156,9 +161,13 @@ class TestCompare:
         assert report.rows[1].metric_value == alone.metric_value
         assert report.rows[1].perf_diff == alone.metric_value - report.rows[0].metric_value
 
-    def test_repeated_name_rejected(self, tiny_model, cls_task, small_vocab):
-        with pytest.raises(EvaluationError, match="duplicate"):
-            harness.compare([("m", tiny_model), ("m", tiny_model)], cls_task, small_vocab)
+    def test_repeated_name_rejected(self, tiny_model, cls_task, small_vocab, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "finetune", lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(EvaluationError, match="duplicate report for model 'm'"):
+            harness.compare([("m", tiny_model), ("o", tiny_model), ("m", tiny_model)],
+                            cls_task, small_vocab)
+        assert calls == []
 
     def test_empty_list_rejected(self, cls_task, small_vocab):
         with pytest.raises(ConfigurationError):

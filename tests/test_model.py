@@ -222,6 +222,34 @@ class TestHeads:
         assert (preds[content] == labels[content]).mean() > 0.95
 
 
+def _gradients_above_tolerance(probes: dict, loss_with) -> dict:
+    """Finite-difference error of each probed tensor above ``GRAD_TOL``;
+    ``loss_with(probe, name=...)`` builds the loss with one tensor swapped."""
+    errors = {}
+    for name, tensor in probes.items():
+        fn = partial(loss_with, name=name)
+        errors[name] = finite_difference_check(fn, tensor, h=1e-4)
+        if errors[name] > GRAD_TOL:
+            # as criterion 1: a wrong gradient fails at either step size
+            errors[name] = min(errors[name], finite_difference_check(fn, tensor, h=3e-5))
+    return {k: v for k, v in errors.items() if not v <= GRAD_TOL}
+
+
+def _assert_gradients_close(grads: dict, ref_grads: dict) -> None:
+    """Every gradient within 1e-5 of its reference tensor's largest entry."""
+    for name, ref in ref_grads.items():
+        if ref is None:
+            continue
+        if name.endswith("_key_bias"):
+            # softmax is shift-invariant, so the true gradient is exactly 0
+            np.testing.assert_allclose(grads[name], 0.0, atol=1e-9, err_msg=name)
+            np.testing.assert_allclose(ref, 0.0, atol=1e-9, err_msg=name)
+        else:
+            scale = float(np.abs(ref).max())
+            np.testing.assert_allclose(grads[name], ref, rtol=0, atol=1e-5 * scale,
+                                       err_msg=name)
+
+
 def _two_layer_cls_case(vocab_size: int, hidden: int = 16, heads: int = 2):
     """A 2-layer encoder, so both a full layer and the narrowed last layer run,
     a sequence head, and a batch whose rows carry 0, 2 and 4 PAD positions."""
@@ -256,14 +284,7 @@ class TestClsOnlyPath:
             probed = EncoderModel(model.config, dict(model.params, **params))
             return cross_entropy(forward_sequence_cls(probed, probed_head, ids, mask), labels)
 
-        errors = {}
-        for name, tensor in probes.items():
-            fn = partial(loss_with, name=name)
-            errors[name] = finite_difference_check(fn, tensor, h=1e-4)
-            if errors[name] > GRAD_TOL:
-                # as criterion 1: a wrong gradient fails at either step size
-                errors[name] = min(errors[name], finite_difference_check(fn, tensor, h=3e-5))
-        bad = {k: v for k, v in errors.items() if not v <= GRAD_TOL}
+        bad = _gradients_above_tolerance(probes, loss_with)
         assert not bad, f"CLS-only gradients above tolerance: {bad}"
 
     def test_matches_the_full_sequence_path(self, small_vocab):
@@ -281,17 +302,7 @@ class TestClsOnlyPath:
         (cls_logits, cls_grads), (full_logits, full_grads) = runs
         np.testing.assert_allclose(cls_logits, full_logits, rtol=0, atol=1e-6)
         assert cls_grads["mlm_head_weight"] is None and full_grads["mlm_head_weight"] is None
-        for name, full in full_grads.items():
-            if full is None:
-                continue
-            if name.endswith("_key_bias"):
-                # softmax is shift-invariant, so the true gradient is exactly 0
-                np.testing.assert_allclose(cls_grads[name], 0.0, atol=1e-9, err_msg=name)
-                np.testing.assert_allclose(full, 0.0, atol=1e-9, err_msg=name)
-            else:
-                scale = float(np.abs(full).max())
-                np.testing.assert_allclose(cls_grads[name], full, rtol=0,
-                                           atol=1e-5 * scale, err_msg=name)
+        _assert_gradients_close(cls_grads, full_grads)
 
 
 def _masked_rows_case(vocab_size: int, batch: int, seed: int):
@@ -346,8 +357,9 @@ class TestMaskedRowsPath:
             picked = forward_mlm(model, ids, mask, rows=rows)
         np.testing.assert_array_equal(picked.data, reference.data)
 
-    def test_grad_mode_keeps_the_full_last_layer(self, small_vocab):
-        cfg = EncoderConfig(32, 128, 2, 4, 32, len(small_vocab))
+    @pytest.mark.parametrize("hidden,layers", [(64, 2), (32, 1)])
+    def test_grad_mode_rows_match_the_full_path(self, small_vocab, hidden, layers):
+        cfg = EncoderConfig(hidden, 4 * hidden, layers, 4, 32, len(small_vocab))
         model = init_random(cfg, seed=7)
         ids, mask, rows = _masked_rows_case(cfg.vocab_size, 8, seed=8)
         runs = []
@@ -360,8 +372,23 @@ class TestMaskedRowsPath:
             runs.append((logits.data, {n: t.grad for n, t in model.params.items()}))
         (logits, grads), (ref_logits, ref_grads) = runs
         np.testing.assert_array_equal(logits, ref_logits)
-        for name, ref in ref_grads.items():
-            np.testing.assert_array_equal(grads[name], ref, err_msg=name)
+        _assert_gradients_close(grads, ref_grads)
+
+    def test_every_gradient_passes_finite_differences(self):
+        # 2 layers, so the last layer's keys and values come from a full layer;
+        # the sequences hold 0, 1 and 3 masked positions, so spare slots exist
+        model, _, ids, mask, _ = _two_layer_cls_case(vocab_size=12)
+        rows = np.zeros_like(mask)
+        rows[1, 3] = True
+        rows[2, [1, 2, 0]] = True
+        targets = ids[rows]
+
+        def loss_with(probe: Tensor, name: str) -> Tensor:
+            probed = EncoderModel(model.config, dict(model.params, **{name: probe}))
+            return cross_entropy(forward_mlm(probed, ids, mask, rows=rows), targets)
+
+        bad = _gradients_above_tolerance(model.params, loss_with)
+        assert not bad, f"masked-rows MLM gradients above tolerance: {bad}"
 
     @pytest.mark.parametrize("grad", [False, True])
     def test_rows_of_the_wrong_shape_are_rejected(self, tiny_model, tiny_cfg, grad):
