@@ -71,7 +71,7 @@ def main() -> None:
     vocab = Vocab.load(data / "vocab.txt")
     teacher = load_checkpoint(teacher_dir, vocab)
     student = load_checkpoint(student_dir, vocab)
-    heldout = load_corpus(data / "heldout_a.txt", language="a")
+    heldout = load_corpus(data / "heldout_a.txt")
     for name, model in (("teacher", teacher), ("student", student)):
         stats = evaluate_masked(model, heldout, vocab, seed=101)
         print(f"{name}: masked accuracy {stats['masked_accuracy']:.4f}, "

@@ -4,7 +4,7 @@ all on a hand-rolled numpy autodiff core."""
 
 from .autograd import Tensor, finite_difference_check, no_grad, precision
 from .checkpoint import checkpoint_digest, load_checkpoint, load_finetuned, save_checkpoint
-from .data import (Corpus, LabeledBatch, MaskedBatch, load_corpus, make_labeled_batches,
+from .data import (LabeledBatch, MaskedBatch, load_corpus, make_labeled_batches,
                    make_mlm_batch, subsample)
 from .distill import (DistillConfig, TrainState, condition_teacher, distill_loss,
                       distill_run, evaluate_masked, pretrain_mlm)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import (CheckpointCorruptError, CheckpointError, CheckpointShapeError,
-                     VocabMismatchError)
+                     ConfigurationError, VocabMismatchError)
 from .model import EncoderConfig, EncoderModel, Head, parameter_shapes
 from .tokenizer import Vocab
 
@@ -213,14 +213,20 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
         if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
             raise CheckpointCorruptError(f"[head] labels under {path} are not a list of names")
         labels, num_labels = tuple(labels), len(labels)
+        missing = [name for name in ("head_weight", "head_bias") if name not in table]
+        if missing:
+            raise CheckpointCorruptError(f"[head] under {path} has no tensors {missing}")
         hw = _load_tensor(payload, "head_weight", table["head_weight"])
         hb = _load_tensor(payload, "head_bias", table["head_bias"])
         if hw.shape != (config.hidden_dim, num_labels) or hb.shape != (num_labels,):
             raise CheckpointShapeError(
                 f"head tensors {hw.shape}/{hb.shape} do not fit a {num_labels}-label head "
                 f"over hidden size {config.hidden_dim}")
-        head = Head(kind, labels, Tensor(hw, requires_grad=True),
-                    Tensor(hb, requires_grad=True))
+        try:
+            head = Head(kind, labels, Tensor(hw, requires_grad=True),
+                        Tensor(hb, requires_grad=True))
+        except ConfigurationError as exc:
+            raise CheckpointCorruptError(f"[head] under {path}: {exc}") from exc
     return model, head
 
 

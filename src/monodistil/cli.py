@@ -20,8 +20,8 @@ import time
 from configparser import ConfigParser
 from pathlib import Path
 
-from .checkpoint import (can_hold_checkpoint, checkpoint_digest, load_checkpoint,
-                         load_finetuned, save_checkpoint)
+from .checkpoint import (MANIFEST_NAME, can_hold_checkpoint, checkpoint_digest,
+                         load_checkpoint, load_finetuned, save_checkpoint)
 from .data import load_corpus
 from .distill import (MLM_ONLY_WEIGHTS, DistillConfig, TrainState, condition_teacher,
                       distill_run, load_distill_config, pretrain_mlm, write_loss_log,
@@ -49,8 +49,11 @@ def _short_hash(*parts) -> str:
 
 def _digest(path: Path) -> str:
     """A checkpoint directory's ``checkpoint_digest``, a file's sha256, or
-    ``stream`` for a pipe, which can be read only once and is left to the command."""
+    ``stream`` for a pipe, which can be read only once and is left to the command.
+    A directory without a manifest is no checkpoint: a ``DataError``."""
     if path.is_dir():
+        if not (path / MANIFEST_NAME).exists():
+            raise DataError(f"input is a directory but not a checkpoint (no manifest): {path}")
         return checkpoint_digest(path)
     if path.is_file():
         return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -180,7 +183,7 @@ def cmd_synth(args) -> int:
                       heldout_docs=args.heldout)
     bundle = generate_bundle(cfg)
     paths = write_bundle(bundle, out)
-    vocab = train_vocab(bundle.mixed.documents, args.vocab_size)
+    vocab = train_vocab(bundle.mixed, args.vocab_size)
     vocab_path = out / "vocab.txt"
     vocab.save(vocab_path)
     paths["vocab"] = str(vocab_path)

@@ -1,10 +1,13 @@
-"""Corpus loading, document subsampling, and masked-LM batch assembly."""
+"""Corpus loading, document subsampling, and masked-LM batch assembly.
+
+A corpus is a plain list of documents, one string each, in file line order.
+"""
 
 from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -17,22 +20,7 @@ IGNORE_ID = -100
 FIRST_CONTENT_ID = 5
 
 
-@dataclass
-class Corpus:
-    """Ordered document collection; order always equals file line order."""
-
-    documents: list[str]
-    source: str = ""
-    language: str = ""
-
-    def __len__(self) -> int:
-        return len(self.documents)
-
-    def __iter__(self):
-        return iter(self.documents)
-
-
-def load_corpus(path, language: str = "") -> Corpus:
+def load_corpus(path) -> list[str]:
     """Read one document per line, skipping blank lines, preserving order."""
     try:
         raw = Path(path).read_bytes()
@@ -48,10 +36,10 @@ def load_corpus(path, language: str = "") -> Corpus:
             docs.append(text)
     if not docs:
         warnings.warn(f"corpus file has no non-empty lines: {path}", stacklevel=2)
-    return Corpus(docs, source=str(path), language=language)
+    return docs
 
 
-def subsample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
+def subsample(corpus: list[str], fraction: float, seed: int) -> list[str]:
     """Keep a seeded ``fraction`` of documents, preserving corpus order.
 
     Each document gets a priority from one seeded permutation and survives
@@ -60,12 +48,11 @@ def subsample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigurationError(f"fraction must be within (0, 1], got {fraction}")
-    n = len(corpus.documents)
+    n = len(corpus)
     rng = np.random.Generator(np.random.PCG64(seed))
     priority = rng.permutation(n)
     cutoff = int(np.floor(fraction * n))
-    kept = [doc for doc, p in zip(corpus.documents, priority) if p < cutoff]
-    return Corpus(kept, source=corpus.source, language=corpus.language)
+    return [doc for doc, p in zip(corpus, priority) if p < cutoff]
 
 
 @dataclass
@@ -78,8 +65,8 @@ class MaskedBatch:
     original_ids: np.ndarray
 
 
-def encode_corpus(corpus: Corpus, vocab: Vocab, max_len: int) -> list[EncodedSequence]:
-    return [encode(doc, vocab, max_len) for doc in corpus.documents]
+def encode_corpus(corpus: list[str], vocab: Vocab, max_len: int) -> list[EncodedSequence]:
+    return [encode(doc, vocab, max_len) for doc in corpus]
 
 
 def stack_sequences(sequences: list[EncodedSequence]) -> tuple[np.ndarray, np.ndarray]:
@@ -205,20 +192,11 @@ def _read_conll(path) -> tuple[list[list[str]], list[list[str]]]:
     return sentences, tags
 
 
-def infer_task_kind(path) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".tsv":
-        return "classification"
-    if suffix in (".conll", ".bio"):
-        return "tagging"
-    raise ConfigurationError(
-        f"cannot infer task kind from {path}; pass kind='classification' or 'tagging'")
-
-
 def make_labeled_batches(path, vocab: Vocab, max_len: int, batch_size: int,
-                         seed: int, kind: str | None = None,
+                         seed: int, kind: str,
                          label_map: dict[str, int] | None = None) -> tuple[list[LabeledBatch], dict[str, int]]:
-    """Load a supervised file and shard it into shuffled fixed-size batches.
+    """Load a supervised file of ``kind`` "classification" or "tagging" and
+    shard it into shuffled fixed-size batches.
 
     Classification files are TSV with a header; a sidecar ``<stem>.labels``
     file (one label per line, line number = id) fixes the id mapping when
@@ -237,8 +215,6 @@ def make_labeled_batches(path, vocab: Vocab, max_len: int, batch_size: int,
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-    if kind is None:
-        kind = infer_task_kind(path)
     if kind not in ("classification", "tagging"):
         raise ConfigurationError(f"kind must be 'classification' or 'tagging', got {kind!r}")
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import losses
 from .autograd import Tensor, no_grad, parameters_finite
-from .data import Corpus, MaskedBatch, encode_corpus, make_mlm_batch
+from .data import MaskedBatch, encode_corpus, make_mlm_batch
 from .errors import (ConfigurationError, DimensionError, NoMaskedPositionsError,
                      TrainingDivergedError)
 from .model import (EncoderConfig, EncoderModel, check_max_len, clone_model,
@@ -139,9 +139,9 @@ def distill_loss(student_logits: Tensor, teacher_logits: Tensor | None,
 
 
 def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
-                    corpus: Corpus, cfg: DistillConfig, vocab: Vocab,
+                    corpus: list[str], cfg: DistillConfig, vocab: Vocab,
                     clock=time.perf_counter) -> TrainState:
-    if len(corpus.documents) == 0:
+    if not corpus:
         raise ConfigurationError("cannot train on an empty corpus")
     for role, model in (("trained model", student), ("teacher", teacher)):
         if model is not None:
@@ -189,7 +189,7 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
     return TrainState(cfg, rows)
 
 
-def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: Corpus,
+def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: list[str],
                 cfg: DistillConfig, vocab: Vocab, init_from_teacher: str = "none",
                 clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """Train a fresh student against a frozen teacher.
@@ -225,7 +225,7 @@ def _mlm_only(cfg: DistillConfig) -> DistillConfig:
     return dataclasses.replace(cfg, **MLM_ONLY_WEIGHTS)
 
 
-def pretrain_mlm(model_cfg: EncoderConfig, corpus: Corpus, cfg: DistillConfig,
+def pretrain_mlm(model_cfg: EncoderConfig, corpus: list[str], cfg: DistillConfig,
                  vocab: Vocab, clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """Plain MLM training under ``MLM_ONLY_WEIGHTS``, whatever ``cfg`` sets."""
     model = init_random(model_cfg, cfg.seed)
@@ -233,7 +233,7 @@ def pretrain_mlm(model_cfg: EncoderConfig, corpus: Corpus, cfg: DistillConfig,
     return model, state
 
 
-def condition_teacher(teacher: EncoderModel, corpus: Corpus, cfg: DistillConfig,
+def condition_teacher(teacher: EncoderModel, corpus: list[str], cfg: DistillConfig,
                       vocab: Vocab, clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
     """MLM-finetune a copy of the teacher on ``corpus``; the original is untouched."""
     model_vocab_guard(teacher, vocab)
@@ -242,7 +242,7 @@ def condition_teacher(teacher: EncoderModel, corpus: Corpus, cfg: DistillConfig,
     return conditioned, state
 
 
-def evaluate_masked(model: EncoderModel, corpus: Corpus, vocab: Vocab,
+def evaluate_masked(model: EncoderModel, corpus: list[str], vocab: Vocab,
                     mask_rate: float = 0.15, seed: int = 0, max_len: int = 32,
                     batch_size: int = 32) -> dict:
     """Deterministic masked-prediction evaluation pass.

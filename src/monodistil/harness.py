@@ -17,7 +17,7 @@ import numpy as np
 
 from . import losses
 from .autograd import no_grad, parameters_finite
-from .data import IGNORE_ID, Corpus, make_labeled_batches, subsample
+from .data import IGNORE_ID, make_labeled_batches, subsample
 from .distill import DistillConfig, check_training_settings, condition_teacher, distill_run
 from .errors import ConfigurationError, EvaluationError, TrainingDivergedError
 from .metrics import accuracy, span_f1
@@ -85,7 +85,16 @@ class ComparisonRow:
 class ComparisonReport:
     baseline: str
     rows: list[ComparisonRow]
-    avg_speedup: dict[str, float]
+
+    @property
+    def avg_speedup(self) -> dict[str, float]:
+        """Each non-baseline model's mean of its per-task runtime ratios, not
+        the ratio of total runtimes."""
+        ratios: dict[str, list[float]] = {}
+        for row in self.rows:
+            if row.speedup is not None:
+                ratios.setdefault(row.model, []).append(row.speedup)
+        return {model: float(np.mean(r)) for model, r in ratios.items()}
 
 
 def _finetune_loss(kind: str, model, head, batch, dropout):
@@ -185,11 +194,7 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
 
 
 def measure_speedup(reports: list[MetricReport], baseline: str) -> ComparisonReport:
-    """Per-task performance differences and runtime ratios against a baseline.
-
-    Each model's average speedup is the mean of its per-task runtime
-    ratios, not the ratio of total runtimes.
-    """
+    """Per-task performance differences and runtime ratios against a baseline."""
     by_model: dict[str, dict[str, MetricReport]] = {}
     for rep in reports:
         slot = by_model.setdefault(rep.model_name, {})
@@ -208,9 +213,7 @@ def measure_speedup(reports: list[MetricReport], baseline: str) -> ComparisonRep
 
     ordered = [baseline] + [m for m in by_model if m != baseline]
     rows: list[ComparisonRow] = []
-    avg_speedup: dict[str, float] = {}
     for model in ordered:
-        ratios = []
         for task in base_tasks:
             rep = by_model[model][task]
             base = base_tasks[task]
@@ -219,12 +222,9 @@ def measure_speedup(reports: list[MetricReport], baseline: str) -> ComparisonRep
             else:
                 diff = rep.metric_value - base.metric_value
                 ratio = base.runtime_seconds / rep.runtime_seconds
-                ratios.append(ratio)
             rows.append(ComparisonRow(model, task, rep.metric_name, rep.metric_value,
                                       rep.runtime_seconds, diff, ratio))
-        if ratios:
-            avg_speedup[model] = float(np.mean(ratios))
-    return ComparisonReport(baseline, rows, avg_speedup)
+    return ComparisonReport(baseline, rows)
 
 
 CSV_COLUMNS = ("model", "task", "metric_name", "metric_value", "runtime_seconds",
@@ -285,16 +285,18 @@ def parse_report_csv(path) -> ComparisonReport:
     for rec in reader:
         if not rec:
             continue
-        rows.append(ComparisonRow(
-            rec[0], rec[1], rec[2], float(rec[3]), float(rec[4]),
-            None if rec[5] == "" else float(rec[5]),
-            None if rec[6] == "" else float(rec[6])))
-    avg: dict[str, list[float]] = {}
-    for row in rows:
-        if row.speedup is not None:
-            avg.setdefault(row.model, []).append(row.speedup)
-    return ComparisonReport(baseline, rows,
-                            {m: float(np.mean(v)) for m, v in avg.items()})
+        where = f"report csv line {reader.line_num + 1}"  # the banner is line 1
+        if len(rec) != len(CSV_COLUMNS):
+            raise EvaluationError(
+                f"{where} has {len(rec)} fields, expected {len(CSV_COLUMNS)}: {path}")
+        try:
+            rows.append(ComparisonRow(
+                rec[0], rec[1], rec[2], float(rec[3]), float(rec[4]),
+                None if rec[5] == "" else float(rec[5]),
+                None if rec[6] == "" else float(rec[6])))
+        except ValueError as exc:
+            raise EvaluationError(f"{where} holds a non-numeric value ({exc}): {path}") from exc
+    return ComparisonReport(baseline, rows)
 
 
 def compare(models: list[tuple[str, EncoderModel]], downstream: TaskSpec,
@@ -319,7 +321,7 @@ def _check_unique_names(names: list[str], downstream: TaskSpec) -> None:
         seen.add(name)
 
 
-def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
+def run_ablation_data_fraction(teacher: EncoderModel, corpus: list[str],
                                fractions: list[float], downstream: TaskSpec,
                                cfg: DistillConfig, vocab: Vocab,
                                student_cfg: EncoderConfig) -> ComparisonReport:
@@ -337,7 +339,7 @@ def run_ablation_data_fraction(teacher: EncoderModel, corpus: Corpus,
     return compare(models, downstream, vocab)
 
 
-def run_ablation_conditioning(teacher: EncoderModel, corpus: Corpus,
+def run_ablation_conditioning(teacher: EncoderModel, corpus: list[str],
                               downstream: TaskSpec, cfg: DistillConfig, vocab: Vocab,
                               student_cfg: EncoderConfig) -> ComparisonReport:
     """Students and teachers with and without MLM conditioning on ``corpus``."""
@@ -350,7 +352,7 @@ def run_ablation_conditioning(teacher: EncoderModel, corpus: Corpus,
                     (f"{STUDENT_NAME} Conditioned", student_cond)], downstream, vocab)
 
 
-def run_ablation_init(teacher: EncoderModel, corpus: Corpus, downstream: TaskSpec,
+def run_ablation_init(teacher: EncoderModel, corpus: list[str], downstream: TaskSpec,
                       cfg: DistillConfig, vocab: Vocab,
                       student_cfg: EncoderConfig) -> ComparisonReport:
     """Students initialized blank, from teacher embeddings, and frozen-copied."""

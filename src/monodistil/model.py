@@ -126,10 +126,6 @@ def count_parameters(model: EncoderModel) -> int:
     return sum(int(t.data.size) for t in model.params.values())
 
 
-def count_parameters_for_config(config: EncoderConfig) -> int:
-    return sum(int(np.prod(s)) for s in parameter_shapes(config).values())
-
-
 def _maybe_dropout(x: Tensor, dropout) -> Tensor:
     if dropout is None:
         return x

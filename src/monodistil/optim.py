@@ -36,11 +36,7 @@ class AdamW:
         self.second_moment: dict[str, np.ndarray] = {}
 
     def step(self) -> None:
-        """Apply one update to every trainable parameter with a gradient.
-
-        The update runs in place through two scratch arrays per parameter,
-        evaluating each expression in the order of its textbook form.
-        """
+        """Apply one update to every trainable parameter with a gradient."""
         trainable = {n: p for n, p in self.params.items() if p.requires_grad}
         missing = [n for n, p in trainable.items() if p.grad is None]
         if missing:
@@ -48,7 +44,6 @@ class AdamW:
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        lr, decay = self.learning_rate, self.learning_rate * self.weight_decay
         for name, p in trainable.items():
             g = p.grad
             m = self.first_moment.get(name)
@@ -58,21 +53,15 @@ class AdamW:
                 v = np.zeros_like(p.data)
                 self.first_moment[name] = m
                 self.second_moment[name] = v
-            # empty_like, since on a 0-d operand a ufunc returns a scalar
-            a, b = np.empty_like(p.data), np.empty_like(p.data)
             m *= BETA1
-            m += np.multiply(g, 1.0 - BETA1, out=a)             # (1-b1)*g
+            m += (1.0 - BETA1) * g
             v *= BETA2
-            np.multiply(g, 1.0 - BETA2, out=a)
-            v += np.multiply(a, g, out=a)                       # ((1-b2)*g)*g
-            np.divide(m, bc1, out=a)                            # m_hat
-            np.sqrt(np.divide(v, bc2, out=b), out=b)            # sqrt(v_hat)
-            b += EPSILON
-            a /= b
-            a *= lr
-            p.data -= a
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
+            p.data -= self.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
             if self.weight_decay > 0.0:
-                p.data -= np.multiply(p.data, decay, out=a)     # p*(lr*wd)
+                p.data -= self.learning_rate * self.weight_decay * p.data
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Corpus
 from .errors import ConfigurationError
 
 N_REGULAR = 44
@@ -177,10 +176,10 @@ def _sample_document(lang: Language, rng: np.random.Generator) -> str:
 class SynthBundle:
     """Everything one seed produces: corpora, held-out text, and task splits."""
 
-    lang_a: Corpus
-    lang_b: Corpus
-    mixed: Corpus
-    heldout_a: Corpus
+    lang_a: list[str]
+    lang_b: list[str]
+    mixed: list[str]
+    heldout_a: list[str]
     cls_train: list[tuple[str, str]]
     cls_eval: list[tuple[str, str]]
     tag_train: list[tuple[list[str], list[str]]]
@@ -218,10 +217,7 @@ def generate_bundle(config: SynthConfig) -> SynthBundle:
     n_cls_eval = int(CLASSIFICATION_EXAMPLES * EVAL_FRACTION)
     n_tag_eval = int(TAGGING_EXAMPLES * EVAL_FRACTION)
     return SynthBundle(
-        lang_a=Corpus(docs_a, source="synthetic", language=LANG_A.name),
-        lang_b=Corpus(docs_b, source="synthetic", language=LANG_B.name),
-        mixed=Corpus(mixed, source="synthetic", language="mixed"),
-        heldout_a=Corpus(heldout, source="synthetic", language=LANG_A.name),
+        lang_a=docs_a, lang_b=docs_b, mixed=mixed, heldout_a=heldout,
         cls_train=cls_rows[n_cls_eval:],
         cls_eval=cls_rows[:n_cls_eval],
         tag_train=tag_rows[n_tag_eval:],
@@ -254,8 +250,7 @@ def write_bundle(bundle: SynthBundle, out_dir) -> dict[str, str]:
         "tag_eval": out / "tag_eval.conll",
     }
     for key in ("lang_a", "lang_b", "mixed", "heldout_a"):
-        corpus: Corpus = getattr(bundle, key)
-        paths[key].write_text("\n".join(corpus.documents) + "\n", encoding="utf-8")
+        paths[key].write_text("\n".join(getattr(bundle, key)) + "\n", encoding="utf-8")
     write_tsv(bundle.cls_train, paths["cls_train"])
     write_tsv(bundle.cls_eval, paths["cls_eval"])
     write_conll(bundle.tag_train, paths["tag_train"])

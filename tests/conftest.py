@@ -19,7 +19,7 @@ def small_bundle():
 
 @pytest.fixture(scope="session")
 def small_vocab(small_bundle):
-    return train_vocab(small_bundle.mixed.documents, 600)
+    return train_vocab(small_bundle.mixed, 600)
 
 
 @pytest.fixture(scope="session")

@@ -25,7 +25,7 @@ from monodistil.autograd import (Tensor, dropout, embedding, finite_difference_c
                                  select, slice_leading, softmax, take_index)
 from monodistil.checkpoint import checkpoint_digest, load_checkpoint, save_checkpoint
 from monodistil.cli import main
-from monodistil.data import Corpus, MaskedBatch, make_mlm_batch, subsample
+from monodistil.data import MaskedBatch, make_mlm_batch, subsample
 from monodistil.distill import (DistillConfig, distill_loss, distill_run,
                                 evaluate_masked, pretrain_mlm)
 from monodistil.harness import (MetricReport, TaskSpec, finetune, measure_speedup,
@@ -300,7 +300,7 @@ def test_criterion_4_desk_scale_efficacy(capsys, tmp_path):
         started = time.monotonic()
         bundle = generate_bundle(SynthConfig(docs_per_language=12000,
                                              heldout_docs=150, seed=0))
-        vocab = train_vocab(bundle.mixed.documents, 600)
+        vocab = train_vocab(bundle.mixed, 600)
         teacher_cfg = EncoderConfig(hidden_dim=64, intermediate_size=256, num_layers=2,
                                     num_heads=4, max_positions=64,
                                     vocab_size=len(vocab))
@@ -536,16 +536,15 @@ def test_criterion_8_property_sweep(capsys, tmp_path, small_vocab, tiny_cfg):
                 assert not batch.mlm_mask[:, 21:].any()
 
         documents = [f"doc {i} kapa rila" for i in range(60)]
-        corpus = Corpus(documents=documents, language="a")
         order = {doc: i for i, doc in enumerate(documents)}
 
         @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.integers(0, 50))
         def subsample_nesting(f1, f2, seed):
             low, high = sorted((f1, f2))
-            small = subsample(corpus, low, seed)
-            large = subsample(corpus, high, seed)
-            assert set(small.documents) <= set(large.documents)
-            positions = [order[d] for d in large.documents]
+            small = subsample(documents, low, seed)
+            large = subsample(documents, high, seed)
+            assert set(small) <= set(large)
+            positions = [order[d] for d in large]
             assert positions == sorted(positions)
 
         subsample_nesting()

@@ -161,6 +161,22 @@ class TestHeadRoundTrip:
         with pytest.raises(CheckpointCorruptError, match="label names"):
             load_finetuned(path, small_vocab)
 
+    @pytest.mark.parametrize("edit", ["drop head_weight", "drop head_bias", "nonsense kind"])
+    def test_malformed_head_section_is_corrupt(self, tmp_path, tiny_model, tiny_cfg,
+                                               small_vocab, edit):
+        path = tmp_path / "tuned"
+        save_checkpoint(tiny_model, path, small_vocab,
+                        head=init_head(tiny_cfg, "sequence", ("neg", "pos"), seed=5))
+        manifest = path / "manifest"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        if edit == "nonsense kind":
+            lines = ["kind = nonsense" if ln.startswith("kind = ") else ln for ln in lines]
+        else:
+            lines = [ln for ln in lines if not ln.startswith(edit.split()[1] + " = ")]
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointCorruptError, match=r"\[head\]"):
+            load_finetuned(path, small_vocab)
+
     def test_load_finetuned_requires_head(self, saved, small_vocab):
         with pytest.raises(CheckpointCorruptError):
             load_finetuned(saved, small_vocab)

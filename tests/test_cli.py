@@ -262,8 +262,17 @@ class TestExitCodes:
         rc = main(["distill", "--run-dir", str(tmp_path / "r"), "--teacher", str(empty),
                    "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"],
                    *ARCH, *TRAIN])
-        assert rc == 1
-        assert capsys.readouterr().err.startswith("CheckpointCorruptError:")
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("DataError:")
+        assert not (tmp_path / "r" / "checkpoint").exists()
+        # a directory where a corpus or vocabulary file belongs fails alike
+        rc = main(["pretrain", "--run-dir", str(tmp_path / "r2"), "--corpus", str(empty),
+                   "--vocab", str(empty), *ARCH, *TRAIN, "--out", str(tmp_path / "ckpt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("DataError:") and str(empty) in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "ckpt").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "distill", "condition", "finetune"])
     def test_out_that_no_checkpoint_may_replace_fails_before_training(

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from monodistil.data import (
     IGNORE_ID,
-    Corpus,
     load_corpus,
     make_labeled_batches,
     make_mlm_batch,
     read_label_file,
-    infer_task_kind,
     subsample,
 )
 from monodistil.errors import ConfigurationError, DataError
@@ -42,12 +40,12 @@ class TestLoadCorpus:
         path = tmp_path / "c.txt"
         path.write_text("ka mina\n\nsoto pi\n", encoding="utf-8")
         corpus = load_corpus(path)
-        assert corpus.documents == ["ka mina", "soto pi"]
+        assert corpus == ["ka mina", "soto pi"]
 
     def test_order_matches_file_order(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("z\na\nm\n", encoding="utf-8")
-        assert load_corpus(path).documents == ["z", "a", "m"]
+        assert load_corpus(path) == ["z", "a", "m"]
 
     def test_empty_file_warns_but_loads(self, tmp_path):
         path = tmp_path / "c.txt"
@@ -69,17 +67,17 @@ class TestLoadCorpus:
     def test_reload_is_identical(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("ka mina\nsoto\n", encoding="utf-8")
-        assert load_corpus(path).documents == load_corpus(path).documents
+        assert load_corpus(path) == load_corpus(path)
 
 
 class TestSubsample:
     def _corpus(self, n=20):
-        return Corpus([f"doc {i}" for i in range(n)], source="mem", language="langA")
+        return [f"doc {i}" for i in range(n)]
 
     def test_full_fraction_is_identity(self):
         corpus = self._corpus()
         kept = subsample(corpus, 1.0, seed=0)
-        assert kept.documents == corpus.documents
+        assert kept == corpus
 
     def test_kept_count_is_floor(self):
         corpus = self._corpus(10)
@@ -89,13 +87,8 @@ class TestSubsample:
     def test_order_is_preserved(self):
         corpus = self._corpus(50)
         kept = subsample(corpus, 0.4, seed=1)
-        indices = [corpus.documents.index(d) for d in kept.documents]
+        indices = [corpus.index(d) for d in kept]
         assert indices == sorted(indices)
-
-    def test_metadata_carries_over(self):
-        kept = subsample(self._corpus(), 0.5, seed=0)
-        assert kept.source == "mem"
-        assert kept.language == "langA"
 
     def test_bad_fraction_rejected(self):
         for fraction in (0.0, -0.1, 1.5):
@@ -111,8 +104,8 @@ class TestSubsample:
     def test_smaller_fraction_nests_inside_larger(self, f1, f2, seed):
         lo, hi = sorted((f1, f2))
         corpus = self._corpus(40)
-        small = set(subsample(corpus, lo, seed).documents)
-        large = set(subsample(corpus, hi, seed).documents)
+        small = set(subsample(corpus, lo, seed))
+        large = set(subsample(corpus, hi, seed))
         assert small <= large
 
 
@@ -202,7 +195,7 @@ def word_vocab():
 class TestLabeledBatches:
     def test_classification_shapes_and_labels(self, cls_file, word_vocab):
         batches, label_map = make_labeled_batches(
-            cls_file, word_vocab, max_len=8, batch_size=2, seed=0)
+            cls_file, word_vocab, max_len=8, batch_size=2, seed=0, kind="classification")
         assert label_map == {"neg": 0, "pos": 1}
         assert [b.token_ids.shape[0] for b in batches] == [2, 2, 1]
         assert all(b.labels.ndim == 1 for b in batches)
@@ -211,13 +204,14 @@ class TestLabeledBatches:
     def test_sidecar_fixes_label_ids(self, cls_file, word_vocab):
         (cls_file.parent / "toy.labels").write_text("pos\nneg\n", encoding="utf-8")
         _, label_map = make_labeled_batches(
-            cls_file, word_vocab, max_len=8, batch_size=2, seed=0)
+            cls_file, word_vocab, max_len=8, batch_size=2, seed=0, kind="classification")
         assert label_map == {"pos": 0, "neg": 1}
 
     def test_unknown_label_names_record(self, cls_file, word_vocab):
         (cls_file.parent / "toy.labels").write_text("pos\n", encoding="utf-8")
         with pytest.raises(DataError, match="record 1"):
-            make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=2, seed=0)
+            make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=2, seed=0,
+                                 kind="classification")
 
     def test_duplicate_sidecar_labels_rejected(self, tmp_path):
         path = tmp_path / "dup.labels"
@@ -229,11 +223,14 @@ class TestLabeledBatches:
         path = tmp_path / "bad.tsv"
         path.write_text("sentence\ttag\nka\tpos\n", encoding="utf-8")
         with pytest.raises(DataError):
-            make_labeled_batches(path, word_vocab, max_len=8, batch_size=2, seed=0)
+            make_labeled_batches(path, word_vocab, max_len=8, batch_size=2, seed=0,
+                                 kind="classification")
 
     def test_same_seed_same_batch_order(self, cls_file, word_vocab):
-        a, _ = make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=2, seed=4)
-        b, _ = make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=2, seed=4)
+        a, _ = make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=2, seed=4,
+                                    kind="classification")
+        b, _ = make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=2, seed=4,
+                                    kind="classification")
         for ba, bb in zip(a, b):
             assert (ba.token_ids == bb.token_ids).all()
             assert (ba.labels == bb.labels).all()
@@ -243,7 +240,7 @@ class TestLabeledBatches:
         path = tmp_path / "toy.conll"
         path.write_text("abc\tB-ENT\nka\tO\n\nka\tO\n", encoding="utf-8")
         batches, label_map = make_labeled_batches(
-            path, vocab, max_len=10, batch_size=4, seed=0)
+            path, vocab, max_len=10, batch_size=4, seed=0, kind="tagging")
         assert label_map == {"B-ENT": 0, "O": 1}
         all_labels = np.concatenate([b.labels for b in batches])
         all_ids = np.concatenate([b.token_ids for b in batches])
@@ -259,7 +256,7 @@ class TestLabeledBatches:
         path = tmp_path / "one.conll"
         path.write_text("ka\tO\nmina\tB-ENT\n", encoding="utf-8")
         batches, label_map = make_labeled_batches(
-            path, word_vocab, max_len=8, batch_size=4, seed=0)
+            path, word_vocab, max_len=8, batch_size=4, seed=0, kind="tagging")
         assert len(batches) == 1
         # cut to the longest row: [CLS] ka mina [SEP]
         assert batches[0].labels.shape == (1, 4)
@@ -311,20 +308,15 @@ class TestLabeledBatches:
         path.write_text("ka\tO\n\nmina\tB-XXX\n", encoding="utf-8")
         with pytest.raises(DataError, match="record 1"):
             make_labeled_batches(path, word_vocab, max_len=8, batch_size=2, seed=0,
-                                 label_map={"O": 0})
+                                 kind="tagging", label_map={"O": 0})
 
     def test_malformed_tagging_line(self, tmp_path, word_vocab):
         path = tmp_path / "toy.conll"
         path.write_text("ka O B extra\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 1"):
-            make_labeled_batches(path, word_vocab, max_len=8, batch_size=2, seed=0)
-
-    def test_kind_inference(self, tmp_path):
-        assert infer_task_kind("x/train.tsv") == "classification"
-        assert infer_task_kind("x/train.conll") == "tagging"
-        with pytest.raises(ConfigurationError):
-            infer_task_kind("x/train.txt")
+            make_labeled_batches(path, word_vocab, max_len=8, batch_size=2, seed=0, kind="tagging")
 
     def test_batch_size_floor(self, cls_file, word_vocab):
         with pytest.raises(ConfigurationError):
-            make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=0, seed=0)
+            make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=0, seed=0,
+                                 kind="classification")

@@ -224,9 +224,8 @@ class TestTrainingLoops:
         assert _model_hash(a) == _model_hash(b)
 
     def test_empty_corpus_rejected(self, toy_teacher, tiny_cfg, small_vocab, fast_cfg):
-        from monodistil.data import Corpus
         with pytest.raises(ConfigurationError):
-            distill_run(toy_teacher, tiny_cfg, Corpus([]), fast_cfg, small_vocab)
+            distill_run(toy_teacher, tiny_cfg, [], fast_cfg, small_vocab)
 
     def test_first_step_loss_near_uniform(self, tiny_cfg, small_bundle, small_vocab):
         cfg = DistillConfig(epochs=1, batch_size=8, max_len=16, seed=0)

@@ -287,3 +287,11 @@ class TestReportFiles:
         bad.write_text("model,task\n", encoding="utf-8")
         with pytest.raises(EvaluationError):
             parse_report_csv(bad)
+        # malformed rows fail the same way, naming their line
+        head = ("# baseline=mBERT\n" + ",".join(harness.CSV_COLUMNS)
+                + "\nmBERT,cls,accuracy,0.5,1.0,,\n")
+        for row in ("dBERT,cls,accuracy,abc,1.0,0.1,2.0", "dBERT,cls,accuracy,0.5",
+                    "dBERT,cls,accuracy,0.5,1.0,0.1,2.0,extra"):
+            bad.write_text(head + row + "\n", encoding="utf-8")
+            with pytest.raises(EvaluationError, match="line 4"):
+                parse_report_csv(bad)

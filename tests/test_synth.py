@@ -62,8 +62,8 @@ class TestBundleShape:
         assert len(small_bundle.tag_train) == 300
 
     def test_mixed_interleaves_languages(self, small_bundle):
-        assert small_bundle.mixed.documents[0] == small_bundle.lang_a.documents[0]
-        assert small_bundle.mixed.documents[1] == small_bundle.lang_b.documents[0]
+        assert small_bundle.mixed[0] == small_bundle.lang_a[0]
+        assert small_bundle.mixed[1] == small_bundle.lang_b[0]
 
     def test_surface_vocabularies_are_disjoint(self, small_bundle):
         words_a = {w.lower() for w in _words_of(small_bundle.lang_a)}
@@ -83,15 +83,15 @@ class TestDeterminism:
         cfg = SynthConfig(docs_per_language=15, heldout_docs=5, seed=9)
         a = generate_bundle(cfg)
         b = generate_bundle(cfg)
-        assert a.lang_a.documents == b.lang_a.documents
-        assert a.lang_b.documents == b.lang_b.documents
+        assert a.lang_a == b.lang_a
+        assert a.lang_b == b.lang_b
         assert a.cls_train == b.cls_train
         assert a.tag_eval == b.tag_eval
 
     def test_different_seed_different_text(self):
         a = generate_bundle(SynthConfig(docs_per_language=15, heldout_docs=5, seed=1))
         b = generate_bundle(SynthConfig(docs_per_language=15, heldout_docs=5, seed=2))
-        assert a.lang_a.documents != b.lang_a.documents
+        assert a.lang_a != b.lang_a
 
     def test_write_bundle_byte_identical(self, small_bundle, tmp_path):
         first = write_bundle(small_bundle, tmp_path / "one")
