@@ -28,7 +28,7 @@ from .distill import (MLM_ONLY_WEIGHTS, DistillConfig, TrainState, condition_tea
                       write_resolved_config)
 from .errors import (ConfigurationError, DataError, MonodistilError, UsageError,
                      VocabularyError)
-from .harness import (BASELINE_NAME, TaskSpec, emit_report, evaluate_task, finetune,
+from .harness import (HEAD_KINDS, TaskSpec, emit_report, evaluate_task, finetune,
                       parse_report_csv, run_ablation_conditioning,
                       run_ablation_data_fraction, run_ablation_init)
 from .model import EncoderConfig
@@ -60,6 +60,11 @@ def _digest(path: Path) -> str:
     return "stream"
 
 
+def _run_seed(args) -> int:
+    """``--seed``, or the library functions' default seed, 0."""
+    return args.seed if args.seed is not None else 0
+
+
 def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=None) -> Path:
     """Create the run directory and record the manifest, with the digest of
     every input, before any work. ``checkpoint_out`` is the ``--out`` a
@@ -82,7 +87,7 @@ def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=N
     parser["run"] = {
         "id": run_dir.name,
         "subcommand": subcommand,
-        "seed": str(seed if seed is not None else args.seed or 0),
+        "seed": str(seed if seed is not None else _run_seed(args)),
     }
     digests = {}
     for item in inputs:
@@ -111,6 +116,11 @@ def _checkpoint_out(args, run_dir: Path) -> Path:
     return Path(args.out) if args.out else run_dir / "checkpoint"
 
 
+def _given(**flags) -> dict:
+    """The flags that were given; the library's defaults stand for the rest."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
     """Flags over config file over defaults. ``mlm_only`` pins the loss
     weights to MLM alone; a config file that sets them otherwise is an error."""
@@ -118,7 +128,7 @@ def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
     fixed = MLM_ONLY_WEIGHTS if mlm_only else {}
     if getattr(args, "config", None):
         return load_distill_config(args.config, overrides, fixed)
-    return DistillConfig(**{k: v for k, v in overrides.items() if v is not None}, **fixed)
+    return DistillConfig(**_given(**overrides), **fixed)
 
 
 def _finish_training(run_dir: Path, args, model, state: TrainState, vocab: Vocab,
@@ -161,25 +171,17 @@ def _require_checkpoint(path) -> Path:
 
 def _task_spec(args, seed: int | None = None) -> TaskSpec:
     """The finetune task the flags describe; ``seed`` overrides ``--seed``."""
-    if seed is None:
-        seed = args.seed if args.seed is not None else 0
-    return TaskSpec(
-        name=args.task_name,
-        kind=args.task_kind,
-        train_path=args.train,
-        eval_path=args.eval,
-        epochs=args.ft_epochs,
-        learning_rate=args.ft_lr,
-        batch_size=args.ft_batch_size,
-        seed=seed,
-        max_len=args.max_len if args.max_len is not None else 32,
-    )
+    return TaskSpec(name=args.task_name, kind=args.task_kind, train_path=args.train,
+                    eval_path=args.eval,
+                    **_given(epochs=args.ft_epochs, learning_rate=args.ft_lr,
+                             batch_size=args.ft_batch_size,
+                             seed=args.seed if seed is None else seed, max_len=args.max_len))
 
 
 def cmd_synth(args) -> int:
     run_dir = prepare_run("synth", args, [])
     out = Path(args.out) if args.out else run_dir / "data"
-    cfg = SynthConfig(docs_per_language=args.docs, seed=args.seed if args.seed is not None else 0,
+    cfg = SynthConfig(docs_per_language=args.docs, seed=_run_seed(args),
                       heldout_docs=args.heldout)
     bundle = generate_bundle(cfg)
     paths = write_bundle(bundle, out)
@@ -261,10 +263,9 @@ def cmd_evaluate(args) -> int:
     run_dir = prepare_run("evaluate", args, [args.model, args.vocab, args.eval])
     vocab = _load_vocab(args)
     model, head = load_finetuned(_require_checkpoint(args.model), vocab)
-    seed = args.seed if args.seed is not None else 0
-    metric_name, value = evaluate_task(
-        model, head, args.eval, args.task_kind, vocab,
-        max_len=args.max_len if args.max_len is not None else 32, seed=seed)
+    seed = _run_seed(args)
+    metric_name, value = evaluate_task(model, head, args.eval, vocab, seed=seed,
+                                       **_given(max_len=args.max_len))
     # evaluate trains nothing and has no task config: no runtime, no config hash
     metrics = _write_metrics(run_dir, (args.model, args.eval, metric_name, repr(value), "",
                                        seed, ""))
@@ -354,11 +355,11 @@ def _add_arch_flags(p: argparse.ArgumentParser, hidden: int, intermediate: int,
 def _add_task_flags(p: argparse.ArgumentParser):
     p.add_argument("--train", required=True)
     p.add_argument("--eval", required=True)
-    p.add_argument("--task-kind", choices=("classification", "tagging"), required=True)
+    p.add_argument("--task-kind", choices=tuple(HEAD_KINDS), required=True)
     p.add_argument("--task-name", default="task")
-    p.add_argument("--ft-epochs", type=int, default=3)
-    p.add_argument("--ft-lr", type=float, default=3e-3)
-    p.add_argument("--ft-batch-size", type=int, default=16)
+    p.add_argument("--ft-epochs", type=int, default=None)
+    p.add_argument("--ft-lr", type=float, default=None)
+    p.add_argument("--ft-batch-size", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--eval", required=True)
-    p.add_argument("--task-kind", choices=("classification", "tagging"), required=True)
     p.add_argument("--max-len", dest="max_len", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
 

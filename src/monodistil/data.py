@@ -6,13 +6,14 @@ A corpus is a plain list of documents, one string each, in file line order.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError
+from .errors import ConfigurationError, DataError, read_text
 from .tokenizer import EncodedSequence, Vocab, encode, encode_words
 
 IGNORE_ID = -100
@@ -22,18 +23,8 @@ FIRST_CONTENT_ID = 5
 
 def load_corpus(path) -> list[str]:
     """Read one document per line, skipping blank lines, preserving order."""
-    try:
-        raw = Path(path).read_bytes()
-    except FileNotFoundError as exc:
-        raise DataError(f"corpus file not found: {path}") from exc
-    docs: list[str] = []
-    for lineno, line in enumerate(raw.split(b"\n"), start=1):
-        try:
-            text = line.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise DataError(f"invalid UTF-8 on line {lineno} of {path}") from exc
-        if text:
-            docs.append(text)
+    lines = read_text(path, "corpus").split("\n")
+    docs = [doc for doc in (line.strip() for line in lines) if doc]
     if not docs:
         warnings.warn(f"corpus file has no non-empty lines: {path}", stacklevel=2)
     return docs
@@ -123,10 +114,7 @@ class LabeledBatch:
 
 def read_label_file(path) -> dict[str, int]:
     """Sidecar label inventory: line number is the label id."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError as exc:
-        raise DataError(f"label file not found: {path}") from exc
+    lines = read_text(path, "label").splitlines()
     labels = [ln.strip() for ln in lines if ln.strip()]
     if not labels:
         raise DataError(f"label file is empty: {path}")
@@ -136,38 +124,32 @@ def read_label_file(path) -> dict[str, int]:
 
 
 def _read_tsv(path) -> tuple[list[str], list[str]]:
+    # newline="" hands the line ends to the csv reader untranslated, as csv expects
+    reader = csv.reader(io.StringIO(read_text(path, "classification"), newline=""),
+                        delimiter="\t")
     try:
-        fh = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"classification file not found: {path}") from exc
-    with fh:
-        reader = csv.reader(fh, delimiter="\t")
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty classification file: {path}") from None
-        if [h.strip().lower() for h in header] != ["text", "label"]:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"empty classification file: {path}") from None
+    if [h.strip().lower() for h in header] != ["text", "label"]:
+        raise DataError(
+            f"classification file must start with 'text<TAB>label', got {header!r}: {path}")
+    texts, labels = [], []
+    for row in reader:
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
             raise DataError(
-                f"classification file must start with 'text<TAB>label', got {header!r}: {path}")
-        texts, labels = [], []
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2:
-                raise DataError(
-                    f"classification record {len(texts)} needs exactly 2 fields, got {len(row)}")
-            texts.append(row[0])
-            labels.append(row[1])
+                f"classification record {len(texts)} needs exactly 2 fields, got {len(row)}")
+        texts.append(row[0])
+        labels.append(row[1])
     if not texts:
         raise DataError(f"classification file has no data rows: {path}")
     return texts, labels
 
 
 def _read_conll(path) -> tuple[list[list[str]], list[list[str]]]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise DataError(f"tagging file not found: {path}") from exc
+    text = read_text(path, "tagging")
     sentences, tags = [], []
     cur_words: list[str] = []
     cur_tags: list[str] = []

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import math
 import time
 from configparser import ConfigParser, Error as ConfigParserError
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import losses
 from .autograd import Tensor, no_grad, parameters_finite
 from .data import MaskedBatch, encode_corpus, make_mlm_batch
 from .errors import (ConfigurationError, DimensionError, NoMaskedPositionsError,
-                     TrainingDivergedError)
+                     TrainingDivergedError, read_text)
 from .model import (EncoderConfig, EncoderModel, check_max_len, clone_model,
                     copy_embeddings_from, forward_mlm, init_random, model_vocab_guard)
 from .optim import AdamW, train_step
@@ -53,8 +53,6 @@ def check_training_settings(settings) -> None:
         raise ConfigurationError(f"batch_size must be positive, got {settings.batch_size}")
     if settings.learning_rate <= 0:
         raise ConfigurationError(f"learning_rate must be positive, got {settings.learning_rate}")
-    if not 0.0 <= settings.dropout_rate < 1.0:
-        raise ConfigurationError(f"dropout_rate must be in [0, 1), got {settings.dropout_rate}")
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,6 @@ class DistillConfig:
     mask_rate: float = 0.15
     seed: int = 0
     max_len: int = 32
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
         check_training_settings(self)
@@ -149,8 +146,6 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
             check_max_len(model, cfg.max_len, role)  # MLM batches are max_len wide
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    dropout = (cfg.dropout_rate, np.random.Generator(np.random.PCG64(cfg.seed + 1))) \
-        if cfg.dropout_rate > 0 else None
     sequences = encode_corpus(corpus, vocab, cfg.max_len)
     params = student.trainable_params()
     optimizer = AdamW(params, learning_rate=cfg.learning_rate)
@@ -172,7 +167,7 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
                     teacher_logits = forward_mlm(teacher, batch.token_ids, batch.attention_mask,
                                                  rows=batch.mlm_mask)
             student_logits = forward_mlm(student, batch.token_ids, batch.attention_mask,
-                                         dropout, rows=batch.mlm_mask)
+                                         rows=batch.mlm_mask)
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
             step += 1
             grad_norm = train_step(total, optimizer, params, step, epoch)
@@ -305,12 +300,10 @@ def load_distill_config(path, overrides: dict | None = None,
     """Read a key = value config file; ``overrides`` win over file values,
     and a file value that contradicts one in ``fixed`` is an error."""
     parser = ConfigParser()
+    text = read_text(path, "config", ConfigurationError)
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
-    try:
-        parser.read_string(text)
+        # newline=None reads \r and \r\n line ends as \n
+        parser.read_file(io.StringIO(text, newline=None), source=str(path))
     except ConfigParserError as exc:
         raise ConfigurationError(f"unreadable config file {path}: {exc}") from exc
     if "distill" not in parser:

@@ -1,8 +1,10 @@
-"""Exception taxonomy shared by every module.
+"""Exception taxonomy shared by every module, and the one input-file reader.
 
 Configuration problems, misuse of the API, and bad input data map to
 distinct classes so the CLI can translate them into stable exit codes.
 """
+
+from pathlib import Path
 
 
 class MonodistilError(Exception):
@@ -55,3 +57,20 @@ class VocabMismatchError(CheckpointError):
 
 class CheckpointShapeError(CheckpointError):
     """Tensor table disagrees with the shapes implied by the config."""
+
+
+def read_text(path, what: str, error: type = DataError) -> str:
+    """The UTF-8 text of the ``what`` input file at ``path``, newlines as
+    stored. A path that is missing or cannot be read (a directory, say) or
+    bytes that are not UTF-8 raise ``error`` naming the path."""
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise error(f"{what} file not found: {path}") from exc
+    except OSError as exc:
+        raise error(f"{what} file cannot be read ({exc.strerror}): {path}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"invalid UTF-8 on line {line} of {what} file {path}") from exc

@@ -28,6 +28,10 @@ from .tokenizer import Vocab
 
 BASELINE_NAME = "mBERT"
 STUDENT_NAME = "dBERT"
+# finetuning's dropout rate; the MLM stages train without dropout
+FINETUNE_DROPOUT = 0.1
+# the head kind that serves each task kind
+HEAD_KINDS = {"classification": "sequence", "tagging": "token"}
 
 
 @dataclass(frozen=True)
@@ -41,10 +45,9 @@ class TaskSpec:
     batch_size: int = 16
     seed: int = 0
     max_len: int = 32
-    dropout_rate: float = 0.1
 
     def __post_init__(self):
-        if self.kind not in ("classification", "tagging"):
+        if self.kind not in HEAD_KINDS:
             raise ConfigurationError(
                 f"task kind must be 'classification' or 'tagging', got {self.kind!r}")
         check_training_settings(self)
@@ -97,8 +100,8 @@ class ComparisonReport:
         return {model: float(np.mean(r)) for model, r in ratios.items()}
 
 
-def _finetune_loss(kind: str, model, head, batch, dropout):
-    if kind == "classification":
+def _finetune_loss(model, head, batch, dropout):
+    if head.kind == "sequence":
         logits = forward_sequence_cls(model, head, batch.token_ids, batch.attention_mask,
                                       batch.num_labels, dropout)
         return losses.cross_entropy(logits, batch.labels)
@@ -107,9 +110,8 @@ def _finetune_loss(kind: str, model, head, batch, dropout):
     return losses.cross_entropy_masked(logits, batch.labels, batch.labels != IGNORE_ID)
 
 
-def _evaluate_task(kind: str, model: EncoderModel, head: Head,
-                   eval_batches) -> tuple[str, float]:
-    if kind == "classification":
+def _evaluate_task(model: EncoderModel, head: Head, eval_batches) -> tuple[str, float]:
+    if head.kind == "sequence":
         preds, golds = [], []
         for batch in eval_batches:
             with no_grad():
@@ -135,16 +137,17 @@ def _evaluate_task(kind: str, model: EncoderModel, head: Head,
     return "span_f1", span_f1(pred_tags, gold_tags)
 
 
-def evaluate_task(model: EncoderModel, head: Head, eval_path, kind: str, vocab: Vocab,
+def evaluate_task(model: EncoderModel, head: Head, eval_path, vocab: Vocab,
                   max_len: int = 32, batch_size: int = 16, seed: int = 0) -> tuple[str, float]:
-    """Score an already-finetuned model on one task file, reading its labels
-    with the head's label ids."""
+    """Score an already-finetuned model on one task file of the kind its head
+    serves, reading its labels with the head's label ids."""
     model_vocab_guard(model, vocab)
     check_max_len(model, max_len)
+    kind = {head_kind: task for task, head_kind in HEAD_KINDS.items()}[head.kind]
     eval_batches, _ = make_labeled_batches(
         eval_path, vocab, max_len, batch_size, seed, kind=kind,
         label_map={label: i for i, label in enumerate(head.labels)})
-    return _evaluate_task(kind, model, head, eval_batches)
+    return _evaluate_task(model, head, eval_batches)
 
 
 def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
@@ -164,22 +167,20 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
         kind=task.kind, label_map=label_map)
 
     tuned = clone_model(model)
-    head_kind = "sequence" if task.kind == "classification" else "token"
-    head = init_head(tuned.config, head_kind, tuple(label_map), task.seed)
+    head = init_head(tuned.config, HEAD_KINDS[task.kind], tuple(label_map), task.seed)
     # the masked-LM head takes no part in downstream tasks
     params = {k: v for k, v in tuned.trainable_params().items()
               if k not in ("mlm_head_weight", "mlm_head_bias")}
     params.update(head.params())
     optimizer = AdamW(params, learning_rate=task.learning_rate)
-    dropout = (task.dropout_rate, np.random.Generator(np.random.PCG64(task.seed + 1))) \
-        if task.dropout_rate > 0 else None
+    dropout = (FINETUNE_DROPOUT, np.random.Generator(np.random.PCG64(task.seed + 1)))
 
     step = 0
     start = clock()
     for epoch in range(1, task.epochs + 1):
         for batch in train_batches:
             step += 1
-            train_step(_finetune_loss(task.kind, tuned, head, batch, dropout),
+            train_step(_finetune_loss(tuned, head, batch, dropout),
                        optimizer, params, step, epoch)
     runtime = clock() - start
     if not parameters_finite(params.values()):
@@ -187,7 +188,7 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
     if runtime <= 0:
         runtime = 1e-9
 
-    metric_name, value = _evaluate_task(task.kind, tuned, head, eval_batches)
+    metric_name, value = _evaluate_task(tuned, head, eval_batches)
     report = MetricReport(model_name, task.name, metric_name, value, runtime,
                           task.seed, task.config_hash())
     return tuned, head, report

@@ -210,8 +210,9 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
 
 
 def forward_mlm(model: EncoderModel, token_ids: np.ndarray, attention_mask: np.ndarray,
-                dropout=None, rows: np.ndarray | None = None) -> Tensor:
-    """Vocabulary logits [batch, seq, vocab] from corrupted inputs.
+                rows: np.ndarray | None = None) -> Tensor:
+    """Vocabulary logits [batch, seq, vocab] from corrupted inputs, without
+    dropout: the MLM stages train without it.
 
     With a boolean ``rows`` mask over [batch, seq], only those positions
     reach the head: the result is [n_rows, vocab] in C order of the mask.
@@ -219,13 +220,12 @@ def forward_mlm(model: EncoderModel, token_ids: np.ndarray, attention_mask: np.n
     without a tape, and the logits equal the full path's bit for bit. With
     a tape, the last layer's bias and gain gradients sum over the
     [batch, m] slots rather than every position, so they and the gradients
-    upstream of them round differently, at about 1e-7 relative. Dropout in
-    the last layer draws masks of the narrowed shapes.
+    upstream of them round differently, at about 1e-7 relative.
     """
     positions = None
     if rows is not None:
         positions, rows = _masked_slots(rows, np.shape(token_ids))
-    h = encode_hidden(model, token_ids, attention_mask, dropout, positions)
+    h = encode_hidden(model, token_ids, attention_mask, positions=positions)
     if rows is not None:
         h = ag.gather_rows(h, rows)
     return ag.matmul(h, model["mlm_head_weight"]) + model["mlm_head_bias"]

@@ -68,20 +68,18 @@ class AdamW:
             p.grad = None
 
 
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_grad_norm(params: dict[str, Tensor]) -> float:
+    """Scale all gradients so their joint L2 norm is at most ``CLIP_NORM``.
 
     Returns the pre-clip norm. Parameters without gradients are skipped.
     """
-    if max_norm <= 0.0:
-        raise ConfigurationError(f"max_norm must be positive, got {max_norm}")
     total = 0.0
     grads = [p.grad for p in params.values() if p.requires_grad and p.grad is not None]
     for g in grads:
         total += float(np.sum(np.square(g, dtype=np.float64)))
     norm = math.sqrt(total)
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for g in grads:
             g *= scale
     return norm
@@ -98,7 +96,7 @@ def train_step(loss: Tensor, optimizer: AdamW, params: dict[str, Tensor], step: 
             f"non-finite loss {float(loss.data)} at step {step} (epoch {epoch})")
     optimizer.zero_grad()
     loss.backward()
-    norm = clip_grad_norm(params, CLIP_NORM)
+    norm = clip_grad_norm(params)
     optimizer.step()
     release_graph(loss)
     return norm

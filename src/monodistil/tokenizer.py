@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigurationError, DataError, VocabularyError
+from .errors import ConfigurationError, DataError, VocabularyError, read_text
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
@@ -62,12 +62,7 @@ class Vocab:
 
     @classmethod
     def load(cls, path) -> "Vocab":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except FileNotFoundError as exc:
-            raise DataError(f"vocabulary file not found: {path}") from exc
-        tokens = text.splitlines()
-        return cls(tokens)
+        return cls(read_text(path, "vocabulary").splitlines())
 
 
 @dataclass

@@ -373,7 +373,7 @@ def test_criterion_5_ablation_protocols(capsys, small_bundle, small_vocab, tiny_
         task = TaskSpec(name="polarity", kind="classification",
                         train_path=str(bundle_files["cls_train"]),
                         eval_path=str(bundle_files["cls_eval"]),
-                        epochs=1, batch_size=16, max_len=16, dropout_rate=0.0)
+                        epochs=1, batch_size=16, max_len=16)
         teacher = init_random(tiny_cfg, seed=11)
         cfg = DistillConfig(epochs=1, batch_size=8, max_len=16, seed=0)
 

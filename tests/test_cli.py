@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import re
+import shlex
 from configparser import ConfigParser
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from monodistil.checkpoint import checkpoint_digest, load_finetuned
-from monodistil.cli import main
+from monodistil.cli import build_parser, main
 from monodistil.data import make_labeled_batches
 from monodistil.distill import MLM_ONLY_WEIGHTS, DistillConfig, load_distill_config
 from monodistil.harness import _evaluate_task
@@ -238,9 +239,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["finetune", "evaluate"])
     def test_task_max_len_beyond_positions_fails_before_any_work(self, cli_env, student_ckpt,
                                                                   tmp_path, capsys, command):
-        task = ["--eval", cli_env["tag_eval"], "--task-kind", "tagging"]
+        task = ["--eval", cli_env["tag_eval"]]
         finetune = ["finetune", "--model", student_ckpt, "--vocab", cli_env["vocab"],
-                    "--train", cli_env["tag_train"], *task, "--ft-epochs", "1"]
+                    "--train", cli_env["tag_train"], *task, "--task-kind", "tagging",
+                    "--ft-epochs", "1"]
         model = student_ckpt
         if command == "evaluate":
             model = str(tmp_path / "tuned")
@@ -265,14 +267,27 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("DataError:")
         assert not (tmp_path / "r" / "checkpoint").exists()
-        # a directory where a corpus or vocabulary file belongs fails alike
-        rc = main(["pretrain", "--run-dir", str(tmp_path / "r2"), "--corpus", str(empty),
-                   "--vocab", str(empty), *ARCH, *TRAIN, "--out", str(tmp_path / "ckpt")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("DataError:") and str(empty) in err
-        assert len(err.splitlines()) == 1
-        assert not (tmp_path / "ckpt").exists()
+        # a directory, checkpoint or not, where an input file belongs fails alike
+        ckpt, vocab, corpus = cli_env["teacher"], cli_env["vocab"], cli_env["corpus_a"]
+        finetune = ["finetune", "--model", ckpt, "--vocab", vocab, "--eval", cli_env["cls_eval"],
+                    "--task-kind", "classification", "--max-len", "16", "--ft-epochs", "1"]
+        cases = [
+            (["pretrain", "--corpus", str(empty), "--vocab", str(empty), *ARCH, *TRAIN],
+             "DataError", str(empty)),
+            (["pretrain", "--corpus", ckpt, "--vocab", vocab, *ARCH, *TRAIN], "DataError", ckpt),
+            (["pretrain", "--corpus", corpus, "--vocab", ckpt, *ARCH, *TRAIN], "DataError", ckpt),
+            ([*finetune, "--train", ckpt], "DataError", ckpt),
+            (["pretrain", "--corpus", corpus, "--vocab", vocab, *ARCH, *TRAIN,
+              "--config", str(empty)], "ConfigurationError", str(empty)),
+        ]
+        for i, (argv, error, bad) in enumerate(cases):
+            out = tmp_path / f"ckpt{i}"
+            rc = main([*argv, "--run-dir", str(tmp_path / f"r{i + 2}"), "--out", str(out)])
+            assert rc == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"{error}:") and bad in err, err
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "distill", "condition", "finetune"])
     def test_out_that_no_checkpoint_may_replace_fails_before_training(
@@ -306,6 +321,30 @@ class TestExitCodes:
                    "--vocab", cli_env["vocab"], *ARCH, *TRAIN])
         assert rc == 2
         assert "absent.txt" in capsys.readouterr().err
+        # so does an input file that is not UTF-8, naming the file
+        vocab, corpus = cli_env["vocab"], cli_env["corpus_a"]
+        finetune = ["finetune", "--model", cli_env["teacher"], "--vocab", vocab,
+                    "--max-len", "16", "--ft-epochs", "1"]
+        cases = [
+            ("vocab.txt", ["pretrain", "--corpus", corpus, *ARCH, *TRAIN, "--vocab"],
+             "DataError"),
+            ("train.tsv", [*finetune, "--eval", cli_env["cls_eval"],
+                           "--task-kind", "classification", "--train"], "DataError"),
+            ("train.conll", [*finetune, "--eval", cli_env["tag_eval"],
+                             "--task-kind", "tagging", "--train"], "DataError"),
+            ("config.ini", ["pretrain", "--corpus", corpus, "--vocab", vocab, *ARCH, *TRAIN,
+                            "--config"], "ConfigurationError"),
+        ]
+        for i, (name, argv, error) in enumerate(cases):
+            bad = tmp_path / name
+            bad.write_bytes(b"[distill]\ntext\tlabel\n\xff\xfe O\n")
+            out = tmp_path / f"ckpt{i}"
+            rc = main([*argv, str(bad), "--run-dir", str(tmp_path / f"r{i}"), "--out", str(out)])
+            assert rc == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith(f"{error}: invalid UTF-8 on line 3") and str(bad) in err, err
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
@@ -421,9 +460,7 @@ class TestDownstreamFlow:
 
         run_eval = tmp_path / "run_eval"
         rc = main(["evaluate", "--model", str(tuned), "--vocab", cli_env["vocab"],
-                   "--run-dir", str(run_eval),
-                   "--eval", cli_env["cls_eval"], "--task-kind", "classification",
-                   "--max-len", "16"])
+                   "--run-dir", str(run_eval), "--eval", cli_env["cls_eval"], "--max-len", "16"])
         assert rc == 0
         printed = capsys.readouterr().out
         assert printed.startswith("accuracy:")
@@ -503,14 +540,13 @@ class TestDownstreamFlow:
         subset.write_text("\n\n".join(b for b in blocks if "I-ENT" not in b) + "\n",
                           encoding="utf-8")
         tuned = tmp_path / "tuned"
-        task = ["--task-kind", "tagging", "--max-len", "16"]
         assert main(["finetune", "--run-dir", str(tmp_path / "run_ft"), "--model", student_ckpt,
                      "--vocab", cli_env["vocab"], "--train", cli_env["tag_train"],
-                     "--eval", cli_env["tag_eval"], *task, "--ft-epochs", "1",
-                     "--out", str(tuned)]) == 0
+                     "--eval", cli_env["tag_eval"], "--task-kind", "tagging", "--max-len", "16",
+                     "--ft-epochs", "1", "--out", str(tuned)]) == 0
         capsys.readouterr()
         rc = main(["evaluate", "--run-dir", str(tmp_path / "run_eval"), "--model", str(tuned),
-                   "--vocab", cli_env["vocab"], "--eval", str(subset), *task])
+                   "--vocab", cli_env["vocab"], "--eval", str(subset), "--max-len", "16"])
         assert rc == 0, capsys.readouterr().err
         vocab = Vocab.load(cli_env["vocab"])
         _, train_map = make_labeled_batches(cli_env["tag_train"], vocab, 16, 16, 0,
@@ -518,7 +554,7 @@ class TestDownstreamFlow:
         assert "I-ENT" in train_map
         batches, _ = make_labeled_batches(subset, vocab, 16, 16, 0, kind="tagging",
                                           label_map=train_map)
-        _, value = _evaluate_task("tagging", *load_finetuned(tuned, vocab), batches)
+        _, value = _evaluate_task(*load_finetuned(tuned, vocab), batches)
         assert capsys.readouterr().out == f"span_f1: {value:.4f}\n"
         with open(tmp_path / "run_eval" / "metrics.csv", newline="", encoding="utf-8") as fh:
             (row,) = list(csv.DictReader(fh))
@@ -528,7 +564,20 @@ class TestDownstreamFlow:
         unknown.write_text(subset.read_text(encoding="utf-8").replace(" O\n", " X-NEW\n", 1),
                            encoding="utf-8")
         rc = main(["evaluate", "--run-dir", str(tmp_path / "run_bad"), "--model", str(tuned),
-                   "--vocab", cli_env["vocab"], "--eval", str(unknown), *task])
+                   "--vocab", cli_env["vocab"], "--eval", str(unknown), "--max-len", "16"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("DataError: record 0: label 'X-NEW'")
         assert not (tmp_path / "run_bad" / "metrics.csv").exists()
+
+
+def test_readme_quick_start_commands_parse():
+    """Every ``monodistil`` command in README's Quick start parses, so a flag
+    that is gone cannot stay documented there."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("monodistil ")]
+    parser = build_parser()
+    subcommands = [parser.parse_args(shlex.split(line)[1:]).subcommand for line in commands]
+    assert subcommands == ["synth", "pretrain", "distill", "finetune", "evaluate", "ablate"]

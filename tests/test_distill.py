@@ -321,15 +321,6 @@ class TestConditioning:
             hashes.add(_model_hash(conditioned))
         assert len(hashes) == 1
 
-    def test_configured_dropout_rate_is_applied(self, tiny_cfg, small_bundle, small_vocab):
-        teacher = init_random(tiny_cfg, seed=21)
-        hashes = []
-        for rate in (0.0, 0.3):
-            cfg = DistillConfig(epochs=1, batch_size=8, max_len=16, seed=0, dropout_rate=rate)
-            conditioned, _ = condition_teacher(teacher, small_bundle.lang_a, cfg, small_vocab)
-            hashes.append(_model_hash(conditioned))
-        assert hashes[0] != hashes[1]
-
 
 class TestEvaluateMasked:
     def test_deterministic_and_counts_positions(self, tiny_model, small_bundle, small_vocab):
@@ -372,13 +363,21 @@ class TestRunArtifacts:
         assert cfg.seed == 0
 
     def test_unknown_key_rejected(self, tmp_path):
-        (tmp_path / "c.ini").write_text("[distill]\nwarmup = 5\n", encoding="utf-8")
-        with pytest.raises(ConfigurationError):
-            load_distill_config(tmp_path / "c.ini")
+        # dropout_rate = 0.0 is the line an older config.resolved carries
+        for line in ("warmup = 5", "dropout_rate = 0.0"):
+            (tmp_path / "c.ini").write_text(f"[distill]\n{line}\n", encoding="utf-8")
+            with pytest.raises(ConfigurationError, match="unknown config key"):
+                load_distill_config(tmp_path / "c.ini")
 
     def test_missing_file_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="not found"):
             load_distill_config(tmp_path / "absent.ini")
+        # a directory, or a file that is not UTF-8, is no config file either
+        (tmp_path / "not_utf8.ini").write_bytes(b"[distill]\nepochs = \xff\n")
+        for path, reason in ((tmp_path, "cannot be read"),
+                             (tmp_path / "not_utf8.ini", "invalid UTF-8 on line 2")):
+            with pytest.raises(ConfigurationError, match=reason):
+                load_distill_config(path)
 
     def test_missing_section_rejected(self, tmp_path):
         (tmp_path / "c.ini").write_text("[other]\nepochs = 1\n", encoding="utf-8")

@@ -35,15 +35,13 @@ def _model_hash(model):
 @pytest.fixture(scope="module")
 def cls_task(bundle_files):
     return TaskSpec("polarity", "classification", bundle_files["cls_train"],
-                    bundle_files["cls_eval"], epochs=1, batch_size=16,
-                    max_len=16, dropout_rate=0.0)
+                    bundle_files["cls_eval"], epochs=1, batch_size=16, max_len=16)
 
 
 @pytest.fixture(scope="module")
 def tag_task(bundle_files):
     return TaskSpec("entities", "tagging", bundle_files["tag_train"],
-                    bundle_files["tag_eval"], epochs=1, batch_size=16,
-                    max_len=16, dropout_rate=0.0)
+                    bundle_files["tag_eval"], epochs=1, batch_size=16, max_len=16)
 
 
 class TestTaskSpec:
@@ -53,11 +51,10 @@ class TestTaskSpec:
         with pytest.raises(ConfigurationError):
             TaskSpec("x", "classification", bundle_files["cls_train"],
                      bundle_files["cls_eval"], epochs=0)
-        for name in ("learning_rate", "dropout_rate"):
-            for value in (float("nan"), float("inf")):
-                with pytest.raises(ConfigurationError, match=f"{name} must be finite"):
-                    TaskSpec("x", "classification", bundle_files["cls_train"],
-                             bundle_files["cls_eval"], **{name: value})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="learning_rate must be finite"):
+                TaskSpec("x", "classification", bundle_files["cls_train"],
+                         bundle_files["cls_eval"], learning_rate=value)
 
     def test_hash_depends_on_content(self, bundle_files):
         a = TaskSpec("x", "classification", bundle_files["cls_train"], bundle_files["cls_eval"])
@@ -117,8 +114,7 @@ class TestFinetune:
         tuned, head, rep = finetune(tiny_model, tag_task, small_vocab, "modelA")
         assert rep.metric_name == "span_f1"
         assert 0.0 <= rep.metric_value <= 1.0
-        name, value = evaluate_task(tuned, head, tag_task.eval_path, "tagging",
-                                    small_vocab, max_len=16)
+        name, value = evaluate_task(tuned, head, tag_task.eval_path, small_vocab, max_len=16)
         assert name == "span_f1"
         assert value == rep.metric_value
 

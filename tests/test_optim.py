@@ -116,7 +116,7 @@ def test_clip_grad_norm_rescales_to_the_ceiling():
     p.grad = np.full((3,), 2.0, dtype=np.float32)
     q.grad = np.full((2,), 2.0, dtype=np.float32)
     total = float(np.sqrt(5 * 4.0))
-    returned = clip_grad_norm({"p": p, "q": q}, max_norm=1.0)
+    returned = clip_grad_norm({"p": p, "q": q})
     assert abs(returned - total) < 1e-5
     clipped = float(np.sqrt((p.grad ** 2).sum() + (q.grad ** 2).sum()))
     assert abs(clipped - 1.0) < 1e-5
@@ -126,7 +126,7 @@ def test_clip_grad_norm_leaves_small_gradients_alone():
     p = _param(0.0, (2,))
     p.grad = np.full((2,), 0.1, dtype=np.float32)
     before = p.grad.copy()
-    clip_grad_norm({"p": p}, max_norm=1.0)
+    clip_grad_norm({"p": p})
     np.testing.assert_array_equal(p.grad, before)
 
 
