@@ -26,8 +26,7 @@ from .data import load_corpus
 from .distill import (MLM_ONLY_WEIGHTS, DistillConfig, TrainState, condition_teacher,
                       distill_run, load_distill_config, pretrain_mlm, write_loss_log,
                       write_resolved_config)
-from .errors import (ConfigurationError, DataError, MonodistilError, UsageError,
-                     VocabularyError)
+from .errors import ConfigurationError, DataError, UsageError, VocabularyError
 from .harness import (HEAD_KINDS, TaskSpec, emit_report, evaluate_task, finetune,
                       parse_report_csv, run_ablation_conditioning,
                       run_ablation_data_fraction, run_ablation_init)
@@ -65,30 +64,25 @@ def _run_seed(args) -> int:
     return args.seed if args.seed is not None else 0
 
 
+def _write_sections(run_dir: Path, sections: dict, mode: str) -> None:
+    """Write ``sections`` to the manifest: ``mode`` "w" starts it, "a" appends."""
+    parser = ConfigParser(interpolation=None)
+    parser.optionxform = str
+    parser.read_dict(sections)
+    with open(run_dir / "manifest", mode, encoding="utf-8") as fh:
+        parser.write(fh)
+
+
 def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=None) -> Path:
     """Create the run directory and record the manifest, with the digest of
     every input, before any work. ``checkpoint_out`` is the ``--out`` a
     training command will save its checkpoint to; one that no checkpoint
     may replace is refused here, before training. ``seed`` is the seed the
-    run uses where a config file may set it; by default ``--seed``, else 0."""
+    run uses where a config file may set it; by default ``--seed``, else 0.
+    ``main`` appends the command's ``[status]`` to this manifest."""
     if checkpoint_out is not None and not can_hold_checkpoint(checkpoint_out):
         raise UsageError(f"--out {checkpoint_out} is not a checkpoint directory; "
                          "name a new path or an existing checkpoint")
-    if getattr(args, "run_dir", None):
-        run_dir = Path(args.run_dir)
-    else:
-        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        run_id = f"{stamp}-{_short_hash(subcommand, vars(args), time.time_ns())}"
-        run_dir = Path(os.environ.get(RUNS_ENV, "runs")) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    parser = ConfigParser()
-    parser.optionxform = str
-    parser["run"] = {
-        "id": run_dir.name,
-        "subcommand": subcommand,
-        "seed": str(seed if seed is not None else _run_seed(args)),
-    }
     digests = {}
     for item in inputs:
         if item is None:
@@ -97,19 +91,23 @@ def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=N
         if not p.exists():
             raise DataError(f"input does not exist: {p}")
         digests[str(p)] = _digest(p)
-    parser["inputs"] = digests
-    with open(run_dir / "manifest", "w", encoding="utf-8") as fh:
-        parser.write(fh)
+    if getattr(args, "run_dir", None):
+        run_dir = Path(args.run_dir)
+    else:
+        stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
+        run_id = f"{stamp}-{_short_hash(subcommand, vars(args), time.time_ns())}"
+        run_dir = Path(os.environ.get(RUNS_ENV, "runs")) / run_id
+    run_dir.mkdir(parents=True, exist_ok=True)
+    run = {"id": run_dir.name, "subcommand": subcommand,
+           "seed": str(seed if seed is not None else _run_seed(args))}
+    _write_sections(run_dir, {"run": run, "inputs": digests}, "w")
+    args.prepared_run = run_dir
     return run_dir
 
 
 def _record_outputs(run_dir: Path, outputs) -> None:
     """Append an ``[outputs]`` section with the digest of each output path."""
-    parser = ConfigParser()
-    parser.optionxform = str
-    parser["outputs"] = {str(p): _digest(Path(p)) for p in outputs}
-    with open(run_dir / "manifest", "a", encoding="utf-8") as fh:
-        parser.write(fh)
+    _write_sections(run_dir, {"outputs": {str(p): _digest(Path(p)) for p in outputs}}, "a")
 
 
 def _checkpoint_out(args, run_dir: Path) -> Path:
@@ -456,26 +454,36 @@ def _error_line(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {message}"
 
 
+def _run_command(args) -> tuple[int, str | None]:
+    """The command's exit code, and its error line when it failed."""
+    try:
+        return args.func(args), None
+    except (ConfigurationError, UsageError, DataError, VocabularyError) as exc:
+        return 2, _error_line(exc)
+    except FileNotFoundError as exc:
+        return 2, f"DataError: missing input: {exc}"
+    except Exception as exc:
+        return 1, _error_line(exc)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    try:
-        return args.func(args)
-    except (ConfigurationError, UsageError, DataError, VocabularyError) as exc:
-        print(_error_line(exc), file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"DataError: missing input: {exc}", file=sys.stderr)
-        return 2
-    except MonodistilError as exc:
-        print(_error_line(exc), file=sys.stderr)
-        return 1
-    except Exception as exc:
-        print(_error_line(exc), file=sys.stderr)
-        return 1
+    started = time.perf_counter()
+    exit_code, error = _run_command(args)
+    if error is not None:
+        print(error, file=sys.stderr)
+    run_dir = getattr(args, "prepared_run", None)
+    if run_dir is not None:
+        status = {"exit_code": str(exit_code),
+                  "seconds": f"{time.perf_counter() - started:.3f}"}
+        if error is not None:
+            status["error"] = error
+        _write_sections(run_dir, {"status": status}, "a")
+    return exit_code
 
 
 if __name__ == "__main__":

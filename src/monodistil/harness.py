@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,7 +54,11 @@ class TaskSpec:
         check_training_settings(self)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(repr(self).encode("utf-8")).hexdigest()[:16]
+        """A hash of the training settings alone: not the name, nor the paths."""
+        settings = {key: getattr(self, key) for key in
+                    ("kind", "epochs", "learning_rate", "batch_size", "seed", "max_len")}
+        return hashlib.sha256(json.dumps(settings, sort_keys=True).encode("utf-8")
+                              ).hexdigest()[:16]
 
 
 @dataclass

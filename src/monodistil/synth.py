@@ -8,6 +8,7 @@ labeling task) and polarity marker words (a binary classification task).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,6 +70,25 @@ class Language:
     markers_neg: list[str]
     next_candidates: np.ndarray = field(repr=False)
     next_weights: np.ndarray = field(repr=False)
+    successor_cdf: list[float] = field(init=False, repr=False)
+    successor_ids: list[int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # flat Python lists for draw_successor, context ctx at [4 * ctx, 4 * ctx + 4):
+        # the CDF Generator.choice(4, p=row) builds (a float64 cumsum over the
+        # row, divided by its last entry) and the candidate ids
+        cdf = np.cumsum(self.next_weights, axis=1)
+        self.successor_cdf = (cdf / cdf[:, -1:]).ravel().tolist()
+        self.successor_ids = self.next_candidates.ravel().tolist()
+
+    def draw_successor(self, ctx: int, u: float) -> int:
+        """The successor of context ``ctx`` for the uniform draw ``u``.
+
+        ``rng.choice(4, p=next_weights[ctx])`` draws one ``rng.random()``
+        and picks with ``searchsorted(side="right")`` on the same CDF, so
+        both pick alike from the same stream.
+        """
+        return self.successor_ids[bisect_right(self.successor_cdf, u, 4 * ctx, 4 * ctx + 4)]
 
     @property
     def all_words(self) -> list[str]:
@@ -109,22 +129,19 @@ def build_language(spec: LanguageSpec, rng: np.random.Generator) -> Language:
     for w2 in range(N_REGULAR):
         by_last[w2] = rng.choice(N_REGULAR, size=4, replace=False)
     n_ctx = N_REGULAR * N_REGULAR
-    cand = np.zeros((n_ctx, 4), dtype=np.int64)
-    weights = np.zeros((n_ctx, 4), dtype=np.float64)
-    for ctx in range(n_ctx):
-        cand[ctx] = by_last[ctx % N_REGULAR]
-        weights[ctx] = rng.dirichlet(np.full(4, TRANSITION_SHARPNESS))
+    cand = by_last[np.arange(n_ctx) % N_REGULAR]
+    # one row per context: the same draws, in the same order, as one call per row
+    weights = rng.dirichlet(np.full(4, TRANSITION_SHARPNESS), size=n_ctx)
     return Language(spec, regular, entities, markers[:half], markers[half:], cand, weights)
 
 
 def _sample_base_sentence(lang: Language, rng: np.random.Generator) -> list[int]:
     n = int(rng.integers(MIN_WORDS, MAX_WORDS + 1))
     out = [int(rng.integers(N_REGULAR)), int(rng.integers(N_REGULAR))]
-    while len(out) < n:
-        ctx = out[-2] * N_REGULAR + out[-1]
-        pick = rng.choice(4, p=lang.next_weights[ctx])
-        out.append(int(lang.next_candidates[ctx, pick]))
-    return out[:n]
+    draw, random = lang.draw_successor, rng.random
+    for _ in range(n - 2):
+        out.append(draw(out[-2] * N_REGULAR + out[-1], random()))
+    return out
 
 
 def _insert_entities(base: list[str], lang: Language,
@@ -136,15 +153,13 @@ def _insert_entities(base: list[str], lang: Language,
     """
     words: list[str] = []
     tags: list[str] = []
+    random = rng.random
     for w in base:
-        if rng.random() < ENTITY_RATE:
-            phrase_len = 1 if rng.random() < 0.7 else 2
-            picks = rng.integers(N_ENTITY, size=phrase_len)
-            words.append(lang.entities[int(picks[0])])
-            tags.append(B_TAG)
-            for p in picks[1:]:
-                words.append(lang.entities[int(p)])
-                tags.append(I_TAG)
+        if random() < ENTITY_RATE:
+            phrase_len = 1 if random() < 0.7 else 2
+            picks = rng.integers(N_ENTITY, size=phrase_len).tolist()
+            words.extend(lang.entities[p] for p in picks)
+            tags.extend([B_TAG] + [I_TAG] * (phrase_len - 1))
         words.append(w)
         tags.append(O_TAG)
     return words, tags

@@ -9,8 +9,9 @@ both models so their output logits live over the same axis.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -38,6 +39,8 @@ class Vocab:
             raise VocabularyError(f"first five tokens must be {SPECIAL_TOKENS}, got {self.tokens[:5]}")
         self.token_to_id = {}
         for i, tok in enumerate(self.tokens):
+            if not tok.strip():
+                raise VocabularyError(f"blank token at id {i}")
             if tok in self.token_to_id:
                 raise VocabularyError(f"duplicate token {tok!r} at ids {self.token_to_id[tok]} and {i}")
             self.token_to_id[tok] = i
@@ -87,11 +90,27 @@ def _normalize(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
+def _merge_pair(units: list[str], pair: tuple[str, str], merged: str) -> list[str]:
+    """Replace each occurrence of ``pair`` in ``units``, scanning left to right."""
+    rebuilt, i = [], 0
+    while i < len(units):
+        if i + 1 < len(units) and (units[i], units[i + 1]) == pair:
+            rebuilt.append(merged)
+            i += 2
+        else:
+            rebuilt.append(units[i])
+            i += 1
+    return rebuilt
+
+
 def train_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
     """Grow a subword vocabulary to ``target_size`` by frequency merges.
 
     Ties between equally frequent merges break lexicographically, so the
-    result depends only on the corpus content and the target size.
+    result depends only on the corpus content and the target size. Pair
+    counts are kept up to date as in subword-nmt (Sennrich et al., 2016):
+    a merge recounts only the words that hold the merged pair, and a lazy
+    heap of ``(-count, pair)`` yields the most frequent pair.
     """
     word_counts: Counter[str] = Counter()
     for doc in corpus:
@@ -117,28 +136,43 @@ def train_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
         tokens.append(unit)
     seen = set(tokens)
 
+    pair_counts: Counter[tuple[str, str]] = Counter()
+    holders: defaultdict[tuple[str, str], set[str]] = defaultdict(set)
+    for word, units in decomp.items():
+        for pair in zip(units, units[1:]):
+            pair_counts[pair] += word_counts[word]
+            holders[pair].add(word)
+    heap = [(-count, pair) for pair, count in pair_counts.items()]
+    heapq.heapify(heap)
+
     while len(tokens) < target_size:
-        pair_counts: Counter[tuple[str, str]] = Counter()
-        for word, units in decomp.items():
-            count = word_counts[word]
-            for left, right in zip(units, units[1:]):
-                pair_counts[(left, right)] += count
-        if not pair_counts:
+        # an entry is stale once its pair's count has moved on or reached 0
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        best = heap[0][1]
         merged = best[0] + best[1][len(CONTINUATION):]
-        for word, units in decomp.items():
-            if len(units) < 2:
+        changed = set()
+        for word in holders.pop(best):
+            units = decomp[word]
+            rebuilt = _merge_pair(units, best, merged)
+            if len(rebuilt) == len(units):  # holders may list words an earlier merge changed
                 continue
-            rebuilt, i = [], 0
-            while i < len(units):
-                if i + 1 < len(units) and (units[i], units[i + 1]) == best:
-                    rebuilt.append(merged)
-                    i += 2
-                else:
-                    rebuilt.append(units[i])
-                    i += 1
+            count = word_counts[word]
+            for pair in zip(units, units[1:]):
+                pair_counts[pair] -= count
+                changed.add(pair)
+            for pair in zip(rebuilt, rebuilt[1:]):
+                pair_counts[pair] += count
+                changed.add(pair)
+                holders[pair].add(word)
             decomp[word] = rebuilt
+        for pair in changed:
+            if pair_counts[pair]:
+                heapq.heappush(heap, (-pair_counts[pair], pair))
+            else:
+                del pair_counts[pair]
         if merged not in seen:
             tokens.append(merged)
             seen.add(merged)

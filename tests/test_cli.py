@@ -153,6 +153,10 @@ class TestRunDirectory:
         assert load_distill_config(run / "config.resolved") == \
             DistillConfig(epochs=1, batch_size=16, max_len=16, seed=0, **weights)
         assert _manifest_section(run, "outputs") == _training_outputs(run, run / "checkpoint")
+        status = _manifest_section(run, "status")
+        assert status["exit_code"] == "0"
+        assert float(status["seconds"]) > 0
+        assert "error" not in status
 
 
 class TestExitCodes:
@@ -321,6 +325,7 @@ class TestExitCodes:
                    "--vocab", cli_env["vocab"], *ARCH, *TRAIN])
         assert rc == 2
         assert "absent.txt" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
         # so does an input file that is not UTF-8, naming the file
         vocab, corpus = cli_env["vocab"], cli_env["corpus_a"]
         finetune = ["finetune", "--model", cli_env["teacher"], "--vocab", vocab,
@@ -344,6 +349,18 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith(f"{error}: invalid UTF-8 on line 3") and str(bad) in err, err
             assert len(err.splitlines()) == 1
+            assert not out.exists()
+        # a vocabulary with a blank line, trailing or interior, names the blank id
+        tokens = Path(vocab).read_text(encoding="utf-8").splitlines()
+        blanks = {len(tokens): tokens + [""], 6: tokens[:6] + [""] + tokens[6:]}
+        for i, (blank_id, lines) in enumerate(blanks.items()):
+            bad = tmp_path / f"blank{i}.txt"
+            bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out = tmp_path / f"blank_ckpt{i}"
+            rc = main(["pretrain", "--corpus", corpus, *ARCH, *TRAIN, "--vocab", str(bad),
+                       "--run-dir", str(tmp_path / f"blank_run{i}"), "--out", str(out)])
+            assert rc == 2
+            assert capsys.readouterr().err == f"VocabularyError: blank token at id {blank_id}\n"
             assert not out.exists()
 
     def test_missing_subcommand(self, capsys):
@@ -566,8 +583,12 @@ class TestDownstreamFlow:
         rc = main(["evaluate", "--run-dir", str(tmp_path / "run_bad"), "--model", str(tuned),
                    "--vocab", cli_env["vocab"], "--eval", str(unknown), "--max-len", "16"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("DataError: record 0: label 'X-NEW'")
+        err = capsys.readouterr().err
+        assert err.startswith("DataError: record 0: label 'X-NEW'")
         assert not (tmp_path / "run_bad" / "metrics.csv").exists()
+        # the manifest of the failed run says that it failed, and why
+        status = _manifest_section(tmp_path / "run_bad", "status")
+        assert (status["exit_code"], status["error"]) == ("2", err.strip())
 
 
 def test_readme_quick_start_commands_parse():

@@ -1,5 +1,6 @@
 """Finetuning mechanics, speedup accounting, and report files."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -59,10 +60,19 @@ class TestTaskSpec:
     def test_hash_depends_on_content(self, bundle_files):
         a = TaskSpec("x", "classification", bundle_files["cls_train"], bundle_files["cls_eval"])
         b = TaskSpec("x", "classification", bundle_files["cls_train"], bundle_files["cls_eval"])
-        c = TaskSpec("x", "classification", bundle_files["cls_train"],
-                     bundle_files["cls_eval"], seed=9)
         assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+        # the same settings in two directories, under another name, share one hash
+        moved = TaskSpec("y", "classification", "x/cls_train.tsv", "x/cls_eval.tsv")
+        assert TaskSpec("y", "classification", "y/cls_train.tsv",
+                        "y/cls_eval.tsv").config_hash() == moved.config_hash() == a.config_hash()
+        # each setting changed gives another
+        changes = {"kind": "tagging", "epochs": 4, "learning_rate": 1e-3, "batch_size": 8,
+                   "seed": 9, "max_len": 16}
+        hashes = {a.config_hash()}
+        for key, value in changes.items():
+            spec = dataclasses.replace(a, **{key: value})
+            hashes.add(spec.config_hash())
+        assert len(hashes) == len(changes) + 1
 
 
 class TestMetricReport:

@@ -1,5 +1,8 @@
 """Synthetic bilingual corpus generator."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,23 @@ from monodistil.synth import (
     generate_bundle,
     write_bundle,
 )
+from monodistil.tokenizer import train_vocab
+
+# sha256 of what write_bundle writes for SynthConfig(40, 10, 0), and of
+# train_vocab(bundle.mixed, 600): any change to a draw or a merge moves them
+BUNDLE_SHA256 = {
+    "cls_eval.labels": "458edcebf7960188247acd5b791dcf80ef6a597c1974592cb3a98d36450a2a58",
+    "cls_eval.tsv": "c4dd4ae4e846c9b746d54d2e986f06a36d8605e733d771a10a515ebb0b55297d",
+    "cls_train.labels": "458edcebf7960188247acd5b791dcf80ef6a597c1974592cb3a98d36450a2a58",
+    "cls_train.tsv": "71cc191d6631cce9b4f329da917c57f6d2f870e3953a1922d90a9b0cc75e4c54",
+    "corpus_a.txt": "b07863276764410d0d1942d221170176e23d12da2ea4c4b516d2ac2202ed0765",
+    "corpus_b.txt": "9baeb0f54b008213d4359f1dd223567fbb1147b3186a4e567481eba8cb6e44ca",
+    "corpus_mixed.txt": "0b2d01d267489e57f7783f4736b15b6d48e0df104f3198eed49d26e65f242817",
+    "heldout_a.txt": "982608aac90ef6eddeb9975301d8473c61c19fa41639fe56d18cedbce69ffd57",
+    "tag_eval.conll": "a5d94d2d15725c6d1c50e76214559bf9ba6e78951427b2c0c8889f4b938f3f18",
+    "tag_train.conll": "d1be413e9ba4c93345ce24a396854c3b426d0044ae566eb7e2ffac89ab7ddfc2",
+}
+VOCAB_SHA256 = "8d4f2d89b0fa71e823639231bb3ea5bce6fd474894f53f92a2012af951b0d162"
 
 
 def _words_of(corpus):
@@ -48,6 +68,22 @@ class TestLanguageInventory:
         ctx_a = 3 * N_REGULAR + 17
         ctx_b = 40 * N_REGULAR + 17
         assert (lang.next_candidates[ctx_a] == lang.next_candidates[ctx_b]).all()
+
+
+class TestSuccessorTable:
+    @pytest.mark.parametrize("spec", [LANG_A, LANG_B])
+    def test_table_draw_matches_generator_choice(self, spec):
+        """On twin generators, every context picks what ``rng.choice`` picks
+        and leaves the generator in the same state."""
+        lang = build_language(spec, np.random.Generator(np.random.PCG64(4)))
+        by_choice = np.random.Generator(np.random.PCG64(11))
+        by_table = np.random.Generator(np.random.PCG64(11))
+        for _ in range(3):
+            for ctx in range(N_REGULAR * N_REGULAR):
+                pick = by_choice.choice(4, p=lang.next_weights[ctx])
+                expected = int(lang.next_candidates[ctx, pick])
+                assert lang.draw_successor(ctx, by_table.random()) == expected
+        assert by_table.bit_generator.state == by_choice.bit_generator.state
 
 
 class TestBundleShape:
@@ -96,13 +132,18 @@ class TestDeterminism:
     def test_write_bundle_byte_identical(self, small_bundle, tmp_path):
         first = write_bundle(small_bundle, tmp_path / "one")
         second = write_bundle(small_bundle, tmp_path / "two")
-        from pathlib import Path
         for key in first:
             assert Path(first[key]).read_bytes() == Path(second[key]).read_bytes()
 
+    def test_pinned_bundle_and_vocabulary(self, small_bundle, tmp_path):
+        paths = write_bundle(small_bundle, tmp_path / "out")
+        written = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for p in paths.values()}
+        assert written == BUNDLE_SHA256
+        assert train_vocab(small_bundle.mixed, 600).content_hash() == VOCAB_SHA256
+
     def test_write_bundle_canonical_names(self, small_bundle, tmp_path):
         paths = write_bundle(small_bundle, tmp_path / "out")
-        from pathlib import Path
         names = {Path(p).name for p in paths.values()}
         assert {"corpus_a.txt", "corpus_b.txt", "corpus_mixed.txt", "heldout_a.txt",
                 "cls_train.tsv", "cls_eval.tsv", "tag_train.conll", "tag_eval.conll",

@@ -1,13 +1,19 @@
 """Vocabulary training and greedy subword encoding."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from monodistil.errors import ConfigurationError, DataError, VocabularyError
 from monodistil.tokenizer import (
+    CONTINUATION,
     SPECIAL_TOKENS,
     Vocab,
+    _merge_pair,
+    _normalize,
+    _word_units,
     decode,
     encode,
     encode_words,
@@ -18,6 +24,41 @@ from monodistil.tokenizer import (
 
 def _plain_vocab(extra):
     return Vocab(list(SPECIAL_TOKENS) + list(extra))
+
+
+def _full_recount_tokens(corpus, target_size):
+    """The reference merge loop: recount every pair of every word per merge."""
+    word_counts = Counter()
+    for doc in corpus:
+        word_counts.update(_normalize(doc).split())
+    decomp = {word: _word_units(word) for word in word_counts}
+    tokens = list(SPECIAL_TOKENS) + sorted({units[0] for units in decomp.values()})
+    for unit in sorted({u for units in decomp.values() for u in units[1:]}):
+        if len(tokens) >= target_size:
+            break
+        tokens.append(unit)
+    while len(tokens) < target_size:
+        pair_counts = Counter()
+        for word, units in decomp.items():
+            for pair in zip(units, units[1:]):
+                pair_counts[pair] += word_counts[word]
+        if not pair_counts:
+            break
+        best = min(pair_counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+        merged = best[0] + best[1][len(CONTINUATION):]
+        decomp = {word: _merge_pair(units, best, merged) for word, units in decomp.items()}
+        if merged not in tokens:
+            tokens.append(merged)
+    return tokens
+
+
+# small alphabets make ties and overlapping pairs common; "#" meets the
+# continuation marker
+_corpora = st.sets(st.sampled_from("ab#cd"), min_size=2, max_size=5).flatmap(
+    lambda letters: st.lists(
+        st.lists(st.text(alphabet=sorted(letters), min_size=1, max_size=8),
+                 min_size=1, max_size=8).map(" ".join),
+        min_size=1, max_size=6))
 
 
 class TestTrainVocab:
@@ -48,6 +89,16 @@ class TestTrainVocab:
         assert a.serialize() == b.serialize()
         assert a.content_hash() == b.content_hash()
 
+    @settings(max_examples=300)
+    @given(_corpora, st.integers(10, 80))
+    def test_incremental_counts_match_a_full_recount(self, corpus, target_size):
+        assert train_vocab(corpus, target_size).tokens == \
+            _full_recount_tokens(corpus, target_size)
+
+    def test_bundle_vocabulary_matches_a_full_recount(self, small_bundle):
+        assert train_vocab(small_bundle.mixed, 600).tokens == \
+            _full_recount_tokens(small_bundle.mixed, 600)
+
     def test_never_exceeds_target_size(self):
         vocab = train_vocab(["aba bab abab baba"], 12)
         assert len(vocab) <= 12
@@ -70,6 +121,14 @@ class TestVocabTable:
         reloaded = Vocab.load(path)
         assert reloaded.tokens == vocab.tokens
         assert reloaded.content_hash() == vocab.content_hash()
+
+    @pytest.mark.parametrize("text, blank_id", [("a\nb\n\n", 7), ("a\n\nb\n", 6),
+                                                ("a\n \nb\n", 6)])
+    def test_load_rejects_a_blank_token(self, tmp_path, text, blank_id):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(SPECIAL_TOKENS) + "\n" + text, encoding="utf-8")
+        with pytest.raises(VocabularyError, match=f"blank token at id {blank_id}$"):
+            Vocab.load(path)
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(DataError):
