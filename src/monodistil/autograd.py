@@ -401,7 +401,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            if b.ndim == 2 and a.ndim > 2 and a.shape[-2] == 1:
+                # one row per stacked matrix (the CLS query path): the summed
+                # outer products are one GEMM; ROADMAP 2(c) would take every
+                # stacked weight gradient this way once MLM numerics may move
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
     out = Tensor._from_result(out_data, (a, b), back)

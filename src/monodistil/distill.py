@@ -90,6 +90,8 @@ class LogRow:
     mlm: float
     grad_norm: float          # global L2 norm of the gradients before clipping
     n_masked: int             # masked positions the step's loss covers
+    teacher_seconds: float    # the no-grad teacher forward; 0 when alpha_kl is 0
+    update_seconds: float     # train_step: backward, clip, AdamW, release
     elapsed_seconds: float
 
 
@@ -162,20 +164,25 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
             if not batch.mlm_mask.any():
                 continue
             teacher_logits = None
+            teacher_seconds = 0.0
             if cfg.alpha_kl > 0:
+                t0 = time.perf_counter()
                 with no_grad():
                     teacher_logits = forward_mlm(teacher, batch.token_ids, batch.attention_mask,
                                                  rows=batch.mlm_mask)
+                teacher_seconds = time.perf_counter() - t0
             student_logits = forward_mlm(student, batch.token_ids, batch.attention_mask,
                                          rows=batch.mlm_mask)
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
             step += 1
+            t0 = time.perf_counter()
             grad_norm = train_step(total, optimizer, params, step, epoch)
+            update_seconds = time.perf_counter() - t0
             kl_val, mlm_val = float(kl_part.item()), float(mlm_part.item())
             rows.append(LogRow(step, epoch,
                                cfg.alpha_kl * kl_val + cfg.alpha_mlm * mlm_val,
                                kl_val, mlm_val, grad_norm, int(batch.mlm_mask.sum()),
-                               clock() - start))
+                               teacher_seconds, update_seconds, clock() - start))
     if not rows:
         raise ConfigurationError(
             "training produced no steps (every batch had zero masked positions)")
@@ -279,10 +286,11 @@ def write_loss_log(state: TrainState, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["step", "epoch", "total", "kl", "mlm", "grad_norm", "n_masked",
-                         "elapsed_seconds"])
+                         "teacher_seconds", "update_seconds", "elapsed_seconds"])
         for row in state.log:
             writer.writerow([row.step, row.epoch, repr(row.total), repr(row.kl),
                              repr(row.mlm), repr(row.grad_norm), row.n_masked,
+                             repr(row.teacher_seconds), repr(row.update_seconds),
                              repr(row.elapsed_seconds)])
 
 

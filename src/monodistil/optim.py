@@ -17,9 +17,16 @@ CLIP_NORM = 1.0
 class AdamW:
     """Adam update with bias correction and decoupled weight decay.
 
-    Moment buffers are keyed by parameter name and share each parameter's
-    shape. ``step`` consumes gradients but never clears them; zeroing is a
-    separate call so gradient accumulation stays under caller control.
+    The trainable parameters' data become views into one flat buffer that
+    the optimizer owns, and the moments, a gradient buffer and two scratch
+    buffers are flat arrays of the same length, so a step is a few
+    whole-buffer ops that allocate nothing. Each op keeps the textbook
+    expression's order, so the update is bit-identical to a per-tensor one.
+    ``first_moment`` and ``second_moment`` map each parameter name to its
+    view. The store is rebuilt, moments carried over by name, whenever the
+    trainable set changes or a parameter's data is replaced. ``step``
+    consumes gradients but never clears them; zeroing is a separate call so
+    gradient accumulation stays under caller control.
     """
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 3e-4,
@@ -34,6 +41,29 @@ class AdamW:
         self.step_count = 0
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}
+        self._names: tuple[str, ...] = ()
+        self._views: list[np.ndarray] = []
+
+    def _build_store(self, trainable: dict[str, Tensor]) -> None:
+        dtypes = {p.data.dtype for p in trainable.values()}
+        if len(dtypes) > 1:
+            raise UsageError(f"AdamW needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        dtype = dtypes.pop()
+        bounds = np.cumsum([0] + [p.data.size for p in trainable.values()]).tolist()
+        flat = [np.zeros(bounds[-1], dtype=dtype) for _ in range(6)]
+        self._param, self._m, self._v, self._grad, self._s1, self._s2 = flat
+        self._views = []
+        for (name, p), lo, hi in zip(trainable.items(), bounds, bounds[1:]):
+            view = self._param[lo:hi].reshape(p.data.shape)
+            view[...] = p.data
+            p.data = view
+            self._views.append(view)
+            for moments, buffer in ((self.first_moment, self._m), (self.second_moment, self._v)):
+                moment = buffer[lo:hi].reshape(view.shape)
+                if name in moments:
+                    moment[...] = moments[name]
+                moments[name] = moment
+        self._names = tuple(trainable)
 
     def step(self) -> None:
         """Apply one update to every trainable parameter with a gradient."""
@@ -42,26 +72,28 @@ class AdamW:
         if missing:
             raise UsageError(f"optimizer step with missing gradients: {', '.join(sorted(missing))}")
         self.step_count += 1
+        if not trainable:
+            return
+        if tuple(trainable) != self._names or any(
+                p.data is not view for p, view in zip(trainable.values(), self._views)):
+            self._build_store(trainable)
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for name, p in trainable.items():
-            g = p.grad
-            m = self.first_moment.get(name)
-            v = self.second_moment.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-                self.first_moment[name] = m
-                self.second_moment[name] = v
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p.data -= self.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
-            if self.weight_decay > 0.0:
-                p.data -= self.learning_rate * self.weight_decay * p.data
+        w, m, v, g, s1, s2 = self._param, self._m, self._v, self._grad, self._s1, self._s2
+        np.concatenate([p.grad.reshape(-1) for p in trainable.values()], out=g)
+        # m = BETA1*m + (1-BETA1)*g; v = BETA2*v + (1-BETA2)*g*g
+        m *= BETA1
+        m += np.multiply(g, 1.0 - BETA1, out=s1)
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=s1)
+        v += np.multiply(s1, g, out=s1)
+        # w -= lr * ((m / bc1) / (sqrt(v / bc2) + EPSILON))
+        np.divide(m, bc1, out=s1)
+        np.sqrt(np.divide(v, bc2, out=s2), out=s2)
+        s1 /= np.add(s2, EPSILON, out=s2)
+        w -= np.multiply(s1, self.learning_rate, out=s1)
+        if self.weight_decay > 0.0:
+            w -= np.multiply(w, self.learning_rate * self.weight_decay, out=s1)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

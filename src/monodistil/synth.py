@@ -153,12 +153,12 @@ def _insert_entities(base: list[str], lang: Language,
     """
     words: list[str] = []
     tags: list[str] = []
-    random = rng.random
+    random, integers = rng.random, rng.integers
     for w in base:
         if random() < ENTITY_RATE:
             phrase_len = 1 if random() < 0.7 else 2
-            picks = rng.integers(N_ENTITY, size=phrase_len).tolist()
-            words.extend(lang.entities[p] for p in picks)
+            # k scalar draws give the values and final state of integers(size=k)
+            words.extend(lang.entities[integers(N_ENTITY)] for _ in range(phrase_len))
             tags.extend([B_TAG] + [I_TAG] * (phrase_len - 1))
         words.append(w)
         tags.append(O_TAG)

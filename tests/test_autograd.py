@@ -46,6 +46,41 @@ def test_matmul_shape_mismatch_names_both_shapes():
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
 
+def _weight_gradient(a: np.ndarray, w: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """dL/dw of ``sum(matmul(a, w) * upstream)``, so that matmul's output
+    gradient is exactly ``upstream``."""
+    weight = Tensor(w, requires_grad=True)
+    (matmul(Tensor(a, requires_grad=True), weight) * constant(upstream)).sum().backward()
+    return weight.grad
+
+
+@pytest.mark.parametrize("rows", [2, 3, 7, 32])
+def test_stacked_weight_gradient_with_several_rows_keeps_its_summation(rows):
+    """Masked-row MLM blocks have m >= 2 rows: their weight gradient is still
+    the per-matrix product summed over the batch, bit for bit."""
+    rng = _rng(rows)
+    a = rng.standard_normal((8, rows, 64)).astype(np.float32)
+    w = rng.standard_normal((64, 32)).astype(np.float32)
+    g = rng.standard_normal((8, rows, 32)).astype(np.float32)
+    want = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
+    np.testing.assert_array_equal(_weight_gradient(a, w, g), want)
+
+
+@pytest.mark.parametrize("lead, inner, outer", [((16,), 256, 64), ((16,), 64, 256),
+                                                ((2, 3), 16, 8)],
+                         ids=["16x256x64", "16x64x256", "2x3x16x8"])
+def test_one_row_weight_gradient_matches_a_float64_reference(lead, inner, outer):
+    """One row per stacked matrix (the CLS query path) takes a single GEMM."""
+    rng = _rng(inner)
+    a = rng.standard_normal((*lead, 1, inner)).astype(np.float32)
+    w = rng.standard_normal((inner, outer)).astype(np.float32)
+    g = rng.standard_normal((*lead, 1, outer)).astype(np.float32)
+    got = _weight_gradient(a, w, g)
+    want = a.reshape(-1, inner).astype(np.float64).T @ g.reshape(-1, outer).astype(np.float64)
+    assert got.dtype == np.float32 and got.shape == w.shape
+    assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+
 def test_backward_of_sum_is_ones():
     x = Tensor(_rng(2).standard_normal((3, 5)).astype(np.float32), requires_grad=True)
     x.sum().backward()

@@ -147,7 +147,10 @@ class TestRunDirectory:
         with open(run / "loss_log.csv", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["step", "epoch", "total", "kl", "mlm", "grad_norm", "n_masked",
-                           "elapsed_seconds"]
+                           "teacher_seconds", "update_seconds", "elapsed_seconds"]
+        split = [(float(row[7]), float(row[8])) for row in rows[1:]]
+        assert all((teacher > 0) == (command == "distill") and update > 0
+                   for teacher, update in split)
         assert [int(row[0]) for row in rows[1:]] == list(range(1, steps + 1))
         weights = {} if command == "distill" else MLM_ONLY_WEIGHTS
         assert load_distill_config(run / "config.resolved") == \

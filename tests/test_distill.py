@@ -179,6 +179,19 @@ class TestTrainingLoops:
         assert all(row.n_masked > 0 for row in state.log)
         assert state.config == cfg
 
+    def test_step_time_split(self, toy_teacher, tiny_cfg, small_bundle, small_vocab):
+        """The teacher forward and the update lie inside each step's elapsed
+        interval; an MLM-only run spends nothing on a teacher."""
+        cfg = DistillConfig(epochs=1, batch_size=8, max_len=16, seed=0)
+        _, distilled = distill_run(toy_teacher, tiny_cfg, small_bundle.lang_a, cfg, small_vocab)
+        _, pretrained = pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab)
+        for state, has_teacher in ((distilled, True), (pretrained, False)):
+            elapsed = [0.0] + [row.elapsed_seconds for row in state.log]
+            for row, step_seconds in zip(state.log, np.diff(elapsed)):
+                assert row.update_seconds > 0
+                assert (row.teacher_seconds > 0) == has_teacher
+                assert row.teacher_seconds + row.update_seconds <= step_seconds
+
     def test_zero_kl_path_matches_plain_pretraining(self, toy_teacher, tiny_cfg,
                                                     small_bundle, small_vocab):
         cfg = DistillConfig(alpha_kl=0.0, alpha_mlm=1.0, epochs=1, batch_size=8,

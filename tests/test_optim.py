@@ -5,8 +5,11 @@ import gc
 import numpy as np
 import pytest
 
+from monodistil import distill, harness
 from monodistil.autograd import Tensor
+from monodistil.distill import DistillConfig, pretrain_mlm
 from monodistil.errors import UsageError
+from monodistil.harness import TaskSpec, finetune
 from monodistil.losses import cross_entropy
 from monodistil.model import EncoderConfig, forward_mlm, init_random
 from monodistil.optim import BETA1, BETA2, EPSILON, AdamW, clip_grad_norm, train_step
@@ -158,3 +161,126 @@ def test_train_step_frees_its_tape_without_the_cyclic_gc():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+class PerTensorAdamW(AdamW):
+    """The per-tensor update that the flat store replaced, kept as its reference."""
+
+    def step(self) -> None:
+        trainable = {n: p for n, p in self.params.items() if p.requires_grad}
+        self.step_count += 1
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
+        for name, p in trainable.items():
+            g = p.grad
+            m = self.first_moment.get(name)
+            v = self.second_moment.get(name)
+            if m is None:
+                m = np.zeros_like(p.data)
+                v = np.zeros_like(p.data)
+                self.first_moment[name] = m
+                self.second_moment[name] = v
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            m_hat = m / bc1
+            v_hat = v / bc2
+            p.data -= self.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
+            if self.weight_decay > 0.0:
+                p.data -= self.learning_rate * self.weight_decay * p.data
+
+
+FROZEN = "layer_0_ffn_inner_weight"
+
+
+def _recording(base, made, toggle):
+    """``base`` that records each optimizer it makes; with ``toggle``, it
+    freezes ``FROZEN`` after step 2 and trains it again after step 4."""
+    class Recording(base):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+        def step(self) -> None:
+            super().step()
+            if toggle and self.step_count in (2, 4):
+                self.params[FROZEN].requires_grad = self.step_count == 4
+    return Recording
+
+
+def _assert_twins_equal(flat, per_tensor, flat_params, per_tensor_params):
+    assert flat.step_count == per_tensor.step_count > 4
+    assert set(flat_params) == set(per_tensor_params)
+    for name in per_tensor_params:
+        np.testing.assert_array_equal(flat_params[name].data, per_tensor_params[name].data,
+                                      err_msg=name)
+    assert set(flat.first_moment) == set(per_tensor.first_moment)
+    for name in per_tensor.first_moment:
+        np.testing.assert_array_equal(flat.first_moment[name], per_tensor.first_moment[name],
+                                      err_msg=name)
+        np.testing.assert_array_equal(flat.second_moment[name], per_tensor.second_moment[name],
+                                      err_msg=name)
+
+
+@pytest.mark.parametrize("toggle", [False, True], ids=["all-trainable", "frozen-steps-3-4"])
+def test_flat_store_matches_the_per_tensor_update_in_pretraining(
+        monkeypatch, tiny_cfg, small_bundle, small_vocab, toggle):
+    cfg = DistillConfig(epochs=2, batch_size=8, max_len=16, seed=0)
+    runs = []
+    for base in (AdamW, PerTensorAdamW):
+        made = []
+        monkeypatch.setattr(distill, "AdamW", _recording(base, made, toggle))
+        model, _ = pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab)
+        runs.append((made[0], model.trainable_params()))
+    (flat, flat_params), (per_tensor, per_tensor_params) = runs
+    _assert_twins_equal(flat, per_tensor, flat_params, per_tensor_params)
+
+
+@pytest.mark.parametrize("toggle", [False, True], ids=["all-trainable", "frozen-steps-3-4"])
+def test_flat_store_matches_the_per_tensor_update_in_finetuning(
+        monkeypatch, tiny_model, small_vocab, bundle_files, toggle):
+    task = TaskSpec("polarity", "classification", bundle_files["cls_train"],
+                    bundle_files["cls_eval"], epochs=1, batch_size=16, max_len=16)
+    runs = []
+    for base in (AdamW, PerTensorAdamW):
+        made = []
+        monkeypatch.setattr(harness, "AdamW", _recording(base, made, toggle))
+        finetune(tiny_model, task, small_vocab, "m")
+        runs.append((made[0], made[0].params))
+    (flat, flat_params), (per_tensor, per_tensor_params) = runs
+    assert "head_weight" in flat_params
+    _assert_twins_equal(flat, per_tensor, flat_params, per_tensor_params)
+
+
+def test_parameters_are_views_into_one_buffer_that_survives_a_rebuild():
+    rng = np.random.Generator(np.random.PCG64(2))
+    params = {n: Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+              for n, s in (("a", (3, 2)), ("b", (4,)), ("c", ()))}
+    opt = AdamW(params, learning_rate=0.1)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    buffers = {id(np.asarray(p.data).base) for p in params.values()}
+    assert len(buffers) == 1 and None not in buffers
+    # data replaced from outside is taken into a new store and still updated
+    replaced = params["a"].data.copy()
+    params["a"].data = replaced.copy()
+    opt.step()
+    assert params["a"].data.base is params["b"].data.base
+    assert np.all(params["a"].data < replaced)
+    # a parameter leaving the trainable set keeps its value; the rest keep their moments
+    moment_b, c_value = opt.first_moment["b"].copy(), params["c"].data.copy()
+    params["c"].requires_grad = False
+    opt.step()
+    np.testing.assert_array_equal(params["c"].data, c_value)
+    np.testing.assert_array_equal(opt.first_moment["b"], moment_b * BETA1 + (1.0 - BETA1))
+
+
+def test_mixed_dtypes_are_rejected():
+    params = {"a": _param(1.0, (2,)), "b": _param(1.0, (2,))}
+    params["b"].data = np.ones(2, dtype=np.float64)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    with pytest.raises(UsageError, match="one dtype"):
+        AdamW(params).step()

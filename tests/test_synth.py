@@ -85,6 +85,17 @@ class TestSuccessorTable:
                 assert lang.draw_successor(ctx, by_table.random()) == expected
         assert by_table.bit_generator.state == by_choice.bit_generator.state
 
+    def test_scalar_entity_draws_match_one_sized_draw(self):
+        """k scalar ``integers`` calls give the values of one ``integers(size=k)``
+        call and leave the generator in the same state, as entity phrases rely on."""
+        lengths = np.random.Generator(np.random.PCG64(3)).integers(1, 3, size=5000)
+        by_size = np.random.Generator(np.random.PCG64(12))
+        by_scalar = np.random.Generator(np.random.PCG64(12))
+        for k in lengths.tolist():
+            want = by_size.integers(N_ENTITY, size=k).tolist()
+            assert [int(by_scalar.integers(N_ENTITY)) for _ in range(k)] == want
+            assert by_scalar.bit_generator.state == by_size.bit_generator.state
+
 
 class TestBundleShape:
     def test_split_sizes(self, small_bundle):
