@@ -16,6 +16,7 @@ import configparser
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -147,20 +148,36 @@ def _parse_config(parser: configparser.ConfigParser) -> EncoderConfig:
         raise CheckpointCorruptError(f"manifest config is unreadable: {exc}") from exc
 
 
-def _load_tensor(payload: bytes, name: str, spec: str) -> np.ndarray:
-    try:
-        shape_text, offset_text = spec.split("@")
-        offset = int(offset_text)
-    except ValueError as exc:
-        raise CheckpointCorruptError(f"unreadable tensor entry {name} = {spec!r}") from exc
-    shape = _parse_shape(shape_text)
-    count = int(np.prod(shape))
-    end = offset + count * 4
-    if offset < 0 or end > len(payload):
+def _read_table(table, payload: bytes) -> dict[str, np.ndarray]:
+    """Every tensor the table lists, as a float32 copy.
+
+    The entries must tile the payload in table order: positive dimensions,
+    each offset where the previous tensor ended, and the last tensor ending
+    at the payload's end. Anything else would read one tensor's bytes as
+    another's.
+    """
+    entries = []
+    end = 0
+    for name, spec in table.items():
+        try:
+            shape_text, offset_text = spec.split("@")
+            offset = int(offset_text)
+        except ValueError as exc:
+            raise CheckpointCorruptError(f"unreadable tensor entry {name} = {spec!r}") from exc
+        shape = _parse_shape(shape_text)
+        if min(shape) <= 0:
+            raise CheckpointCorruptError(f"tensor {name} has a non-positive dimension: {spec!r}")
+        if offset != end:
+            raise CheckpointCorruptError(
+                f"tensor {name} starts at byte {offset}, but the tensors before it end at {end}")
+        entries.append((name, shape, offset))
+        end += math.prod(shape) * 4
+    if end != len(payload):
         raise CheckpointCorruptError(
-            f"tensor {name} spans bytes [{offset}, {end}) but payload has {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
-    return flat.reshape(shape).copy()
+            f"the tensor table covers {end} bytes but the payload has {len(payload)}")
+    return {name: np.frombuffer(payload, dtype="<f4", count=math.prod(shape),
+                                offset=offset).reshape(shape).copy()
+            for name, shape, offset in entries}
 
 
 def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
@@ -187,22 +204,11 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
         raise CheckpointCorruptError(
             f"weights payload under {path} does not match the sha256 in its manifest")
 
-    table = parser["tensors"]
+    names = parser["tensors"]
     expected = parameter_shapes(config)
-    missing = sorted(set(expected) - set(table))
+    missing = sorted(set(expected) - set(names))
     if missing:
         raise CheckpointShapeError(f"checkpoint lacks tensors: {missing}")
-
-    params: dict[str, Tensor] = {}
-    for name, shape in expected.items():
-        data = _load_tensor(payload, name, table[name])
-        if data.shape != shape:
-            raise CheckpointShapeError(
-                f"tensor {name} has shape {data.shape}, config requires {shape}")
-        params[name] = Tensor(data, requires_grad=True)
-    model = EncoderModel(config, params)
-
-    head = None
     if "head" in parser:
         kind = parser["head"].get("kind", "")
         try:
@@ -212,12 +218,24 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
                                          "finetune the model again") from exc
         if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
             raise CheckpointCorruptError(f"[head] labels under {path} are not a list of names")
-        labels, num_labels = tuple(labels), len(labels)
-        missing = [name for name in ("head_weight", "head_bias") if name not in table]
+        missing = [name for name in ("head_weight", "head_bias") if name not in names]
         if missing:
             raise CheckpointCorruptError(f"[head] under {path} has no tensors {missing}")
-        hw = _load_tensor(payload, "head_weight", table["head_weight"])
-        hb = _load_tensor(payload, "head_bias", table["head_bias"])
+
+    table = _read_table(names, payload)
+    params: dict[str, Tensor] = {}
+    for name, shape in expected.items():
+        data = table[name]
+        if data.shape != shape:
+            raise CheckpointShapeError(
+                f"tensor {name} has shape {data.shape}, config requires {shape}")
+        params[name] = Tensor(data, requires_grad=True)
+    model = EncoderModel(config, params)
+
+    head = None
+    if "head" in parser:
+        labels, num_labels = tuple(labels), len(labels)
+        hw, hb = table["head_weight"], table["head_bias"]
         if hw.shape != (config.hidden_dim, num_labels) or hb.shape != (num_labels,):
             raise CheckpointShapeError(
                 f"head tensors {hw.shape}/{hb.shape} do not fit a {num_labels}-label head "

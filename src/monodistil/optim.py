@@ -104,11 +104,13 @@ def clip_grad_norm(params: dict[str, Tensor]) -> float:
     """Scale all gradients so their joint L2 norm is at most ``CLIP_NORM``.
 
     Returns the pre-clip norm. Parameters without gradients are skipped.
+    Each gradient's float64 square-sum is taken on its own, as one sum over
+    the whole gradient buffer would round differently.
     """
     total = 0.0
     grads = [p.grad for p in params.values() if p.requires_grad and p.grad is not None]
     for g in grads:
-        total += float(np.sum(np.square(g, dtype=np.float64)))
+        total += float(np.square(g, dtype=np.float64).sum())
     norm = math.sqrt(total)
     if norm > CLIP_NORM:
         scale = CLIP_NORM / norm

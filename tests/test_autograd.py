@@ -354,6 +354,93 @@ def test_gelu_repeated_backward_accumulates():
     np.testing.assert_array_equal(x.grad, 4.0 * first)
 
 
+def _gelu_five_arrays(x: np.ndarray) -> np.ndarray:
+    """The GELU forward as it was written with five full-size arrays."""
+    gauss = np.square(x)
+    gauss *= -0.5
+    np.exp(gauss, out=gauss)
+    t = np.abs(x)
+    t *= autograd._ERF_P * autograd._INV_SQRT2
+    t += 1.0
+    np.reciprocal(t, out=t)
+    tail = t * autograd._ERF_A[4]
+    for coef in autograd._ERF_A[3::-1]:
+        tail += coef
+        tail *= t
+    tail *= gauss
+    cdf = np.sign(x)
+    tail *= cdf
+    cdf += 1.0
+    cdf -= tail
+    cdf *= 0.5
+    return x * cdf
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint8)
+
+
+def _awkward_values(shape, dtype, seed) -> np.ndarray:
+    """Normal draws laced with signed zeros, NaNs and -1e9 mask columns."""
+    x = (_rng(seed).standard_normal(shape) * 4).astype(dtype)
+    flat = x.reshape(-1)
+    flat[::7] = 0.0
+    flat[3::7] = -0.0
+    flat[5::97] = np.nan
+    x[..., -2:] = -1e9
+    return x
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 32, 256), (3, 17), (5, 20), (1,)])
+def test_gelu_matches_the_five_array_form_bit_for_bit(shape, dtype):
+    data = _awkward_values(shape, dtype, 31)
+    with precision(dtype):
+        x = Tensor(data, requires_grad=True)
+        y = x.gelu()
+    assert np.array_equal(_bits(y.data), _bits(_gelu_five_arrays(data)))
+
+
+def _softmax_reduce_max(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Softmax with the row max from ``ndarray.max``."""
+    out = z - z.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True, dtype=np.float64).astype(out.dtype)
+    return out
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 5, 8, 17, 20, 31, 32, 33])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_halving_max_matches_the_reduction_bit_for_bit(width, dtype):
+    z = _awkward_values((2, 4, 6, width), dtype, width)
+    z[0, 0, 0] = 0.0
+    z[0, 0, 1] = -0.0
+    z[0, 0, 2, ::2] = -0.0
+    z[0, 0, 3] = -1e9
+    with precision(dtype):
+        out = softmax(Tensor(z)).data
+        tempered = softmax(Tensor(z), temperature=2.0).data
+        across = softmax(Tensor(z), axis=1).data
+    assert np.array_equal(_bits(out), _bits(_softmax_reduce_max(z)))
+    assert np.array_equal(_bits(tempered), _bits(_softmax_reduce_max(z / 2.0)))
+    assert np.array_equal(_bits(across), _bits(_softmax_reduce_max(z, axis=1)))
+    # rows of +0, of -0 and of mask columns alone are uniform
+    np.testing.assert_array_equal(out[0, 0, [0, 1, 3]], dtype(1) / dtype(width))
+
+
+def test_embedding_backward_matches_the_row_scatter_bit_for_bit():
+    rng = _rng(32)
+    w = Tensor(rng.standard_normal((252, 64)).astype(np.float32), requires_grad=True)
+    ids = rng.integers(0, 20, size=(32, 32))    # many repeats per id
+    out = embedding(w, ids)
+    seed = rng.standard_normal(out.shape).astype(np.float32)
+    out.grad = seed
+    out._backward()
+    expected = np.zeros_like(w.data)
+    np.add.at(expected, ids, seed)
+    assert np.array_equal(_bits(w.grad), _bits(expected))
+
+
 def test_repeated_backward_keeps_unreduced_gradients_apart():
     a = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)
     b = Tensor(np.zeros((2, 3), dtype=np.float32), requires_grad=True)

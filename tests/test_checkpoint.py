@@ -235,6 +235,48 @@ class TestValidation:
         with pytest.raises(CheckpointShapeError):
             load_checkpoint(saved, small_vocab)
 
+    @pytest.mark.parametrize("edit", ["alias an offset", "negative dimension",
+                                      "two negative dimensions", "trailing bytes"])
+    def test_table_that_does_not_tile_the_payload_rejected(self, saved, small_vocab, edit):
+        manifest = saved / "manifest"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        entry = {ln.split(" = ")[0]: i for i, ln in enumerate(lines) if " @ " in ln}
+        if edit == "alias an offset":
+            # the bias would load the gain's ones
+            gain_offset = lines[entry["embedding_norm_gain"]].split(" @ ")[1]
+            bias = entry["embedding_norm_bias"]
+            lines[bias] = lines[bias].split(" @ ")[0] + " @ " + gain_offset
+        elif edit == "negative dimension":
+            # numpy would read -1 as "the rest of the payload"
+            last = entry["mlm_head_bias"]
+            name, spec = lines[last].split(" = ")
+            lines[last] = f"{name} = -1 @ {spec.split(' @ ')[1]}"
+        elif edit == "two negative dimensions":
+            # their product is the right size, so the tensor would tile
+            head = entry["mlm_head_weight"]
+            lines[head] = lines[head].replace(" = ", " = -", 1).replace("x", "x-", 1)
+        else:
+            # a manifest written before the payload digest existed
+            lines = [ln for ln in lines if not ln.startswith("payload_sha256")]
+            weights = saved / "weights.bin"
+            weights.write_bytes(weights.read_bytes() + bytes(8))
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointCorruptError):
+            load_checkpoint(saved, small_vocab)
+
+    def test_manifest_with_an_extra_tensor_still_loads(self, saved, tiny_model, small_vocab):
+        manifest = saved / "manifest"
+        weights = saved / "weights.bin"
+        size = len(weights.read_bytes())
+        weights.write_bytes(weights.read_bytes() + np.ones(6, dtype="<f4").tobytes())
+        lines = [ln for ln in manifest.read_text(encoding="utf-8").splitlines()
+                 if not ln.startswith("payload_sha256")]
+        manifest.write_text("\n".join(lines) + f"\nretired_tensor = 2x3 @ {size}\n",
+                            encoding="utf-8")
+        loaded = load_checkpoint(saved, small_vocab)
+        for name in tiny_model.params:
+            np.testing.assert_array_equal(loaded[name].data, tiny_model[name].data)
+
     def test_garbled_manifest_rejected(self, saved, small_vocab):
         (saved / "manifest").write_text("not an ini file at all [", encoding="utf-8")
         with pytest.raises(CheckpointCorruptError):

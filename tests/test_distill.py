@@ -3,10 +3,16 @@
 import dataclasses
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import monodistil
 from monodistil import losses
 from monodistil.autograd import Tensor, gather_rows
 from monodistil.data import MaskedBatch
@@ -401,3 +407,52 @@ class TestRunArtifacts:
         (tmp_path / "c.ini").write_text("[distill]\nepochs = soon\n", encoding="utf-8")
         with pytest.raises(ConfigurationError):
             load_distill_config(tmp_path / "c.ini")
+
+
+# Distill steps at the CLI's default sizes: a 64-wide teacher with 256-wide
+# FFNs and four heads, a 32-wide one-layer student, batch 8 of 32 tokens.
+_FAULTS_PER_STEP = """
+import resource
+import numpy as np
+from monodistil import losses
+from monodistil.autograd import no_grad
+from monodistil.model import EncoderConfig, forward_mlm, init_random
+from monodistil.optim import AdamW, train_step
+
+BATCH, SEQ, VOCAB = 8, 32, 252
+teacher = init_random(EncoderConfig(64, 256, 2, 4, 64, VOCAB), seed=0)
+student = init_random(EncoderConfig(32, 128, 1, 4, 64, VOCAB), seed=1)
+params = student.trainable_params()
+optimizer = AdamW(params)
+rng = np.random.default_rng(0)
+
+def step(i):
+    ids = rng.integers(5, VOCAB, (BATCH, SEQ))
+    attention = np.arange(SEQ) < rng.integers(SEQ // 2, SEQ + 1, (BATCH, 1))
+    rows = attention & (rng.random((BATCH, SEQ)) < 0.15)
+    rows[:, 1] = True
+    with no_grad():
+        teacher_logits = forward_mlm(teacher, ids, attention, rows=rows)
+    logits = forward_mlm(student, ids, attention, rows=rows)
+    loss = (losses.kl_divergence(logits, teacher_logits, 2.0) * 4.0
+            + losses.cross_entropy(logits, ids[rows]))
+    train_step(loss, optimizer, params, i, 1)
+
+for i in range(10):
+    step(i)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for i in range(20):
+    step(10 + i)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the allocator policy is glibc's")
+def test_distill_steps_reuse_freed_pages():
+    # by default glibc hands each step's freed arrays back to the kernel,
+    # and the next step zero-fills them again: about 220 faults a step
+    src = str(Path(monodistil.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP], capture_output=True,
+                            text=True, timeout=300, env=env, check=True)
+    assert float(result.stdout.split()[-1]) <= 10.0

@@ -1,6 +1,7 @@
 """Update-rule oracles for the decoupled-weight-decay optimizer and clipping."""
 
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from monodistil.errors import UsageError
 from monodistil.harness import TaskSpec, finetune
 from monodistil.losses import cross_entropy
 from monodistil.model import EncoderConfig, forward_mlm, init_random
-from monodistil.optim import BETA1, BETA2, EPSILON, AdamW, clip_grad_norm, train_step
+from monodistil.optim import (BETA1, BETA2, CLIP_NORM, EPSILON, AdamW, clip_grad_norm,
+                              train_step)
 
 
 def _param(value, shape=()):
@@ -131,6 +133,39 @@ def test_clip_grad_norm_leaves_small_gradients_alone():
     before = p.grad.copy()
     clip_grad_norm({"p": p})
     np.testing.assert_array_equal(p.grad, before)
+
+
+def _clip_per_tensor_squares(params: dict) -> tuple[float, list[np.ndarray]]:
+    """Pre-clip norm and clipped gradients with a fresh float64 square per tensor."""
+    grads = [p.grad.copy() for p in params.values() if p.requires_grad and p.grad is not None]
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(np.square(g, dtype=np.float64)))
+    norm = math.sqrt(total)
+    if norm > CLIP_NORM:
+        for g in grads:
+            g *= CLIP_NORM / norm
+    return norm, grads
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0])
+def test_clip_grad_norm_matches_the_per_tensor_formula_bit_for_bit(seed, scale):
+    # one float64 sum over all the squares reads a different norm at
+    # seed 3, scale 1e-3
+    rng = np.random.default_rng(seed)
+    shapes = {"embedding": (252, 64), "gain": (64,), "frozen": (16, 8), "weight": (64, 256),
+              "no_grad_yet": (3,)}
+    params = {name: _param(0.0, shape) for name, shape in shapes.items()}
+    for name, p in params.items():
+        p.grad = (rng.standard_normal(p.shape) * scale).astype(np.float32)
+    params["frozen"].requires_grad = False
+    params["no_grad_yet"].grad = None
+    norm, expected = _clip_per_tensor_squares(params)
+    assert clip_grad_norm(params) == norm
+    got = [p.grad for p in params.values() if p.requires_grad and p.grad is not None]
+    for g, e in zip(got, expected, strict=True):
+        assert np.array_equal(g.view(np.uint32), e.view(np.uint32))
 
 
 def test_train_step_returns_the_pre_clip_norm():
