@@ -5,9 +5,12 @@ except ``_unbroadcast``, which sums a broadcast gradient (bias and gain
 gradients) back to its operand's shape in the gradient's own dtype.
 Every operation records a backward closure on a tape; calling
 ``backward()`` on a scalar output walks the tape in reverse topological
-order and accumulates gradients additively until they are zeroed.
-The tape stays until ``release_graph`` drops it, as each training step
-does once its update is done.
+order. Leaf gradients accumulate additively until they are zeroed; each
+intermediate gradient is dropped as soon as its node's closure has run.
+Bias, scale and residual adds ride inside ``matmul`` and ``layer_norm``
+rather than recording nodes of their own. The tape stays until
+``release_graph`` drops it, as each training step does once its update
+is done.
 
 Importing the module fixes the C allocator's policy (see
 ``_keep_freed_pages``), so that a step reuses the heap pages the previous
@@ -181,7 +184,10 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
 
-        Gradients accumulate additively across calls until zeroed.
+        Leaf gradients accumulate additively across calls until zeroed. A
+        node with parents drops its gradient once its closure has run, since
+        every consumer has run by then; a second call therefore adds exactly
+        one more pass to the leaves.
         """
         if self.data.size != 1:
             raise UsageError(f"backward() requires a scalar loss, got shape {self.shape}")
@@ -206,6 +212,7 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward()
+                node.grad = None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -415,11 +422,18 @@ def constant(data, dtype=None) -> Tensor:
 # -- binary / structural operations ---------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with broadcast batch dimensions.
+def matmul(a: Tensor, b: Tensor, scale: float | None = None,
+           bias: Tensor | None = None) -> Tensor:
+    """Matrix product with broadcast batch dimensions, then ``* scale`` and
+    ``+ bias`` when given.
 
-    dL/da = dL/dout @ b^T and dL/db = a^T @ dL/dout, reduced back over
-    any broadcasted batch axes.
+    The scale, cast to the product's dtype, and the bias are applied in
+    place into the product, so ``matmul(a, b, scale=s, bias=c)`` gives the
+    bits of ``matmul(a, b) * s + c`` without their temporaries; a wider bias
+    widens the output instead of being rounded into it. dL/dbias is
+    dL/dout reduced to the bias's shape, dL/da = (dL/dout * scale) @ b^T and
+    dL/db = a^T @ (dL/dout * scale), reduced back over any broadcasted batch
+    axes.
     """
     a = as_tensor(a)
     b = as_tensor(b)
@@ -431,9 +445,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out_data = np.matmul(a.data, b.data)
     except ValueError as exc:
         raise DimensionError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}") from exc
+    if scale is not None:
+        scale = np.asarray(scale, dtype=out_data.dtype)
+        out_data *= scale
+    parents = (a, b)
+    if bias is not None:
+        if np.result_type(out_data, bias.data) == out_data.dtype:
+            out_data += bias.data
+        else:
+            out_data = out_data + bias.data
+        parents = (a, b, bias)
 
     def back():
         g = out.grad
+        if bias is not None and bias.requires_grad:
+            # a view, so that an unreduced gradient is copied, not kept
+            bias._accumulate(_unbroadcast(g.view(), bias.shape))
+        if scale is not None:
+            g = g * scale
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accumulate(_unbroadcast(ga, a.shape))
@@ -447,7 +476,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))
 
-    out = Tensor._from_result(out_data, (a, b), back)
+    out = Tensor._from_result(out_data, parents, back)
     return out
 
 
@@ -535,6 +564,12 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
 # -- softmax family ---------------------------------------------------------
 
 
+# rows from which the halving max beats ``ndarray.max`` on 16 to 32 wide rows
+# (both 16 us at 128 rows of 32; 10 against 3 us at 16 rows, 60 against 117
+# at 1024)
+_HALVING_MIN_ROWS = 128
+
+
 def _max_by_halving(z: np.ndarray, axis: int) -> np.ndarray:
     """``z.max(axis=axis, keepdims=True)`` by pairwise halving.
 
@@ -561,7 +596,10 @@ def softmax(x: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     if temperature <= 0.0:
         raise ConfigurationError(f"softmax temperature must be positive, got {temperature}")
     z = x.data if temperature == 1.0 else x.data / temperature
-    out_data = z - _max_by_halving(z, axis)
+    # halving pays once there are many short rows; a few rows (the CLS
+    # query's one row per head) reduce faster in numpy. Both give the same bits
+    few_rows = z.size < _HALVING_MIN_ROWS * z.shape[axis]
+    out_data = z - (z.max(axis=axis, keepdims=True) if few_rows else _max_by_halving(z, axis))
     np.exp(out_data, out=out_data)
     out_data /= _sum64(out_data, axis=axis, keepdims=True)
     a = x
@@ -585,37 +623,45 @@ def log_softmax(x: Tensor, temperature: float = 1.0, axis: int = -1) -> Tensor:
     """Numerically stable log-softmax of temperature-scaled logits."""
     if temperature <= 0.0:
         raise ConfigurationError(f"softmax temperature must be positive, got {temperature}")
-    z = x.data / temperature
-    m = z.max(axis=axis, keepdims=True)
-    shifted = z - m
-    lse = np.log(_sum64(np.exp(shifted), axis=axis, keepdims=True))
-    out_data = shifted - lse
+    z = x.data if temperature == 1.0 else x.data / temperature
+    out_data = z - z.max(axis=axis, keepdims=True)
+    out_data -= np.log(_sum64(np.exp(out_data), axis=axis, keepdims=True))
     a = x
 
     def back():
         if a.requires_grad:
             gsum = _sum64(out.grad, axis=axis, keepdims=True)
-            a._accumulate((out.grad - np.exp(out.data) * gsum) / temperature)
+            d = np.exp(out.data)
+            d *= gsum
+            np.subtract(out.grad, d, out=d)
+            if temperature != 1.0:
+                d /= temperature
+            a._accumulate(d)
 
     out = Tensor._from_result(out_data, (a,), back)
     return out
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
+               residual: Tensor | None = None) -> Tensor:
     """Normalize the final axis to zero mean / unit variance, then affine.
 
-    The row mean and variance reduce in float64; the elementwise work runs
-    in the input dtype. The affine step stays out of place, so a wider gain
-    or bias widens the output rather than being rounded into it.
+    With ``residual``, the input is ``x + residual``, added out of place
+    and never kept, and both get the same gradient. The row mean and
+    variance reduce in float64; the elementwise work runs in the input
+    dtype. The affine step stays out of place, so a wider gain or bias
+    widens the output rather than being rounded into it.
     """
-    dtype = x.data.dtype
-    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64)
-    xhat = x.data - mu.astype(dtype)
+    s = x.data if residual is None else x.data + residual.data
+    dtype = s.dtype
+    mu = s.mean(axis=-1, keepdims=True, dtype=np.float64)
+    xhat = s - mu.astype(dtype)
     var = np.square(xhat).mean(axis=-1, keepdims=True, dtype=np.float64)
     inv = (1.0 / np.sqrt(var + eps)).astype(dtype)
     xhat *= inv
     out_data = gain.data * xhat + bias.data
-    a, g_t, b_t = x, gain, bias
+    a, g_t, b_t, r = x, gain, bias, residual
+    parents = (a, g_t, b_t) if r is None else (a, g_t, b_t, r)
 
     def back():
         go = out.grad
@@ -624,7 +670,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if b_t.requires_grad:
             # a view, so that an unreduced gradient is copied, not kept
             b_t._accumulate(_unbroadcast(go.view(), b_t.shape))
-        if a.requires_grad:
+        if a.requires_grad or (r is not None and r.requires_grad):
             # go has the output's dtype, at least as wide as xhat's, so
             # the in-place updates below never narrow
             dxhat = go * g_t.data
@@ -635,9 +681,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             np.multiply(xhat, m2.astype(dxhat.dtype), out=t)
             dxhat -= t
             dxhat *= inv
-            a._accumulate(dxhat.astype(a.data.dtype, copy=False))
+            dx = dxhat.astype(dtype, copy=False)
+            if r is not None and r.requires_grad:
+                # a view, so that x may keep dx itself
+                r._accumulate(_unbroadcast(dx.view(), r.shape))
+            if a.requires_grad:
+                a._accumulate(_unbroadcast(dx, a.shape))
 
-    out = Tensor._from_result(out_data, (a, g_t, b_t), back)
+    out = Tensor._from_result(out_data, parents, back)
     return out
 
 

@@ -53,6 +53,8 @@ def check_training_settings(settings) -> None:
         raise ConfigurationError(f"batch_size must be positive, got {settings.batch_size}")
     if settings.learning_rate <= 0:
         raise ConfigurationError(f"learning_rate must be positive, got {settings.learning_rate}")
+    if settings.seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {settings.seed}")
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,8 @@ def evaluate_task(model: EncoderModel, head: Head, eval_path, vocab: Vocab,
                   max_len: int = 32, batch_size: int = 16, seed: int = 0) -> tuple[str, float]:
     """Score an already-finetuned model on one task file of the kind its head
     serves, reading its labels with the head's label ids."""
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed}")
     model_vocab_guard(model, vocab)
     check_max_len(model, max_len)
     kind = {head_kind: task for task, head_kind in HEAD_KINDS.items()}[head.kind]

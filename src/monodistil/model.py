@@ -177,7 +177,7 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
         def proj(name: str, x: Tensor) -> Tensor:
             w = model[f"layer_{layer}_{name}_weight"]
             b = model[f"layer_{layer}_{name}_bias"]
-            return ag.matmul(x, w) + b
+            return ag.matmul(x, w, bias=b)
 
         def split_heads(x: Tensor) -> Tensor:
             return x.reshape((batch, -1, cfg.num_heads, cfg.head_dim)).transpose((0, 2, 1, 3))
@@ -189,23 +189,18 @@ def encode_hidden(model: EncoderModel, token_ids: np.ndarray,
         q = split_heads(proj("query", x))
         k = split_heads(proj("key", h))
         v = split_heads(proj("value", h))
-        scores = ag.matmul(q, k.transpose((0, 1, 3, 2))) * scale + bias
+        scores = ag.matmul(q, k.transpose((0, 1, 3, 2)), scale=scale, bias=bias)
         attn = ag.softmax(scores, axis=-1)
         attn = _maybe_dropout(attn, dropout)
         ctx = ag.matmul(attn, v).transpose((0, 2, 1, 3)).reshape((batch, -1, cfg.hidden_dim))
         attn_out = _maybe_dropout(proj("attn_output", ctx), dropout)
-        h = ag.layer_norm(x + attn_out,
-                          model[f"layer_{layer}_attn_norm_gain"],
-                          model[f"layer_{layer}_attn_norm_bias"])
+        h = ag.layer_norm(x, model[f"layer_{layer}_attn_norm_gain"],
+                          model[f"layer_{layer}_attn_norm_bias"], residual=attn_out)
 
-        inner = ag.matmul(h, model[f"layer_{layer}_ffn_inner_weight"]) \
-            + model[f"layer_{layer}_ffn_inner_bias"]
-        ffn = ag.matmul(inner.gelu(), model[f"layer_{layer}_ffn_output_weight"]) \
-            + model[f"layer_{layer}_ffn_output_bias"]
-        ffn = _maybe_dropout(ffn, dropout)
-        h = ag.layer_norm(h + ffn,
-                          model[f"layer_{layer}_ffn_norm_gain"],
-                          model[f"layer_{layer}_ffn_norm_bias"])
+        inner = proj("ffn_inner", h)
+        ffn = _maybe_dropout(proj("ffn_output", inner.gelu()), dropout)
+        h = ag.layer_norm(h, model[f"layer_{layer}_ffn_norm_gain"],
+                          model[f"layer_{layer}_ffn_norm_bias"], residual=ffn)
     return h
 
 
@@ -228,7 +223,7 @@ def forward_mlm(model: EncoderModel, token_ids: np.ndarray, attention_mask: np.n
     h = encode_hidden(model, token_ids, attention_mask, positions=positions)
     if rows is not None:
         h = ag.gather_rows(h, rows)
-    return ag.matmul(h, model["mlm_head_weight"]) + model["mlm_head_bias"]
+    return ag.matmul(h, model["mlm_head_weight"], bias=model["mlm_head_bias"])
 
 
 def _masked_slots(rows, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -308,7 +303,7 @@ def forward_sequence_cls(model: EncoderModel, head: Head, token_ids, attention_m
     h = encode_hidden(model, token_ids, attention_mask, dropout,
                       positions=np.zeros((batch, 1), dtype=np.int64))
     cls = ag.select(h, axis=1, index=0)
-    return ag.matmul(cls, head.weight) + head.bias
+    return ag.matmul(cls, head.weight, bias=head.bias)
 
 
 def forward_token_cls(model: EncoderModel, head: Head, token_ids, attention_mask,
@@ -317,7 +312,7 @@ def forward_token_cls(model: EncoderModel, head: Head, token_ids, attention_mask
     if num_labels is not None:
         _check_head(head, "token", num_labels)
     h = encode_hidden(model, token_ids, attention_mask, dropout)
-    return ag.matmul(h, head.weight) + head.bias
+    return ag.matmul(h, head.weight, bias=head.bias)
 
 
 def copy_embeddings_from(student: EncoderModel, teacher: EncoderModel) -> None:

@@ -57,6 +57,8 @@ class SynthConfig:
         if self.heldout_docs < 0:
             raise ConfigurationError(
                 f"heldout_docs must be non-negative, got {self.heldout_docs}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -120,6 +120,7 @@ def test_criterion_1_gradient_correctness(capsys):
         m23 = g.normal(size=(2, 3))
         gain = g.normal(size=(4,)) + 1.0
         bias = g.normal(size=(4,)) * 0.1
+        b2 = g.normal(size=(2,))
         lookup_ids = np.array([[0, 2, 4], [1, 3, 0]])
         row_mask = np.array([[True, False, True], [False, False, True]])
         per_row_idx = np.array([1, 4, 0, 2])
@@ -145,6 +146,10 @@ def test_criterion_1_gradient_correctness(capsys):
             ("gelu", lambda t: ws(t.gelu(), w34), xn),
             ("matmul_left", lambda t: ws(matmul(t, Tensor(m42)), w32), xn),
             ("matmul_right", lambda t: ws(matmul(Tensor(m23), t), w24), xn),
+            ("matmul_scale_bias",
+             lambda t: ws(matmul(t, Tensor(m42), scale=0.6, bias=Tensor(b2)), w32), xn),
+            ("matmul_bias", lambda t: ws(matmul(Tensor(xn), Tensor(m42), scale=0.6, bias=t), w32),
+             b2),
             ("embedding", lambda t: ws(embedding(t, lookup_ids), w_emb), table),
             ("gather_rows", lambda t: ws(gather_rows(t, row_mask), w_rows), x234),
             ("take_index", lambda t: ws(take_index(t, per_row_idx), w4), x45),
@@ -157,6 +162,9 @@ def test_criterion_1_gradient_correctness(capsys):
             ("layer_norm", lambda t: ws(layer_norm(t, Tensor(gain), Tensor(bias)), w34), xn),
             ("layer_norm_gain",
              lambda t: ws(layer_norm(Tensor(xn), t, Tensor(bias)), w34), gain),
+            ("layer_norm_residual",
+             lambda t: ws(layer_norm(Tensor(c34), Tensor(gain), Tensor(bias), residual=t), w34),
+             xn),
         ]
         op_errors = {name: _checked(f, Tensor(x)) for name, f, x in cases}
         bad_ops = {k: v for k, v in op_errors.items() if not v <= GRAD_TOL}

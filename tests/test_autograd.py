@@ -350,8 +350,9 @@ def test_gelu_repeated_backward_accumulates():
     y.backward()
     first = x.grad.copy()
     y.backward()
-    # the second pass sees seeds 1 (y) + 2 (gelu output) on top of the first
-    np.testing.assert_array_equal(x.grad, 4.0 * first)
+    # the first pass dropped the gelu output's gradient, so the second adds
+    # exactly one more pass: twice, provided the backward left gauss intact
+    np.testing.assert_array_equal(x.grad, 2.0 * first)
 
 
 def _gelu_five_arrays(x: np.ndarray) -> np.ndarray:
@@ -447,10 +448,10 @@ def test_repeated_backward_keeps_unreduced_gradients_apart():
     z = (a + b).sum()
     z.backward()
     z.backward()
-    # second pass: seed 2 on z, 1 + 2 on a + b, added to the first pass's 1;
-    # had a and b kept the sum's own grad array, both would read 12
-    np.testing.assert_array_equal(a.grad, np.full((2, 3), 4.0, dtype=np.float32))
-    np.testing.assert_array_equal(b.grad, np.full((2, 3), 4.0, dtype=np.float32))
+    # each pass adds 1 to each leaf; had a and b kept the sum's own grad
+    # array, the second pass would add into it twice and both would read 3
+    np.testing.assert_array_equal(a.grad, np.full((2, 3), 2.0, dtype=np.float32))
+    np.testing.assert_array_equal(b.grad, np.full((2, 3), 2.0, dtype=np.float32))
 
     x = Tensor(_rng(15).standard_normal((2, 3)).astype(np.float32), requires_grad=True)
     gain = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -458,7 +459,135 @@ def test_repeated_backward_keeps_unreduced_gradients_apart():
     y = layer_norm(x, gain, bias).sum()
     y.backward()
     y.backward()
-    np.testing.assert_array_equal(bias.grad, np.full((2, 3), 4.0, dtype=np.float32))
+    np.testing.assert_array_equal(bias.grad, np.full((2, 3), 2.0, dtype=np.float32))
+
+    # x and the residual get one gradient each, not one shared array
+    x.zero_grad()
+    r = Tensor(_rng(16).standard_normal((2, 3)).astype(np.float32), requires_grad=True)
+    weight = Tensor(_rng(17).standard_normal((2, 3)).astype(np.float32))
+    y = (layer_norm(x, gain, bias, residual=r) * weight).sum()
+    y.backward()
+    first = x.grad.copy()
+    y.backward()
+    np.testing.assert_array_equal(x.grad, 2.0 * first)
+    np.testing.assert_array_equal(r.grad, 2.0 * first)
+
+
+def _grads_bits(fn, values, trainable, weight):
+    """Output and gradients of ``fn`` as bytes, for bit-for-bit comparisons."""
+    ts = [Tensor(v, requires_grad=t) for v, t in zip(values, trainable)]
+    out = fn(*ts)
+    (out * Tensor(weight)).sum().backward()
+    return [_bits(out.data)] + [_bits(t.grad) for t in ts if t.requires_grad]
+
+
+# (a, b, bias) shapes: projections with a bias, the CLS query's one-row
+# stack, and attention scores with a PAD mask over [batch, 1, 1, keys]
+_MATMUL_CASES = [((2, 5, 8), (8, 6), (6,)), ((4, 1, 8), (8, 3), (3,)),
+                 ((2, 3, 5, 8), (2, 3, 8, 5), (2, 1, 1, 5))]
+
+
+@pytest.mark.parametrize("a_shape, b_shape, bias_shape", _MATMUL_CASES)
+@pytest.mark.parametrize("bias_trainable", [True, False])
+def test_fused_matmul_matches_the_composition_bit_for_bit(a_shape, b_shape, bias_shape,
+                                                           bias_trainable):
+    rng = _rng(41)
+    values = [rng.standard_normal(shape).astype(np.float32)
+              for shape in (a_shape, b_shape, bias_shape)]
+    values[2][..., -2:] = -1e9
+    weight = rng.standard_normal(np.broadcast_shapes(a_shape[:-1] + b_shape[-1:], bias_shape))
+    weight = weight.astype(np.float32)
+    trainable = (True, True, bias_trainable)
+    scale = 1.0 / np.sqrt(8)
+    unfused = _grads_bits(lambda a, b, c: matmul(a, b) * scale + c, values, trainable, weight)
+    fused = _grads_bits(lambda a, b, c: matmul(a, b, scale=scale, bias=c), values, trainable,
+                        weight)
+    assert len(fused) == 3 + bias_trainable
+    for want, got in zip(unfused, fused):
+        assert np.array_equal(want, got)
+    biased = _grads_bits(lambda a, b, c: matmul(a, b, bias=c), values, trainable, weight)
+    plain = _grads_bits(lambda a, b, c: matmul(a, b) + c, values, trainable, weight)
+    for want, got in zip(plain, biased):
+        assert np.array_equal(want, got)
+
+
+@pytest.mark.parametrize("residual_trainable", [True, False])
+def test_layer_norm_residual_matches_the_sum_bit_for_bit(residual_trainable):
+    rng = _rng(42)
+    values = [rng.standard_normal(shape).astype(np.float32)
+              for shape in ((3, 5, 16), (3, 5, 16), (16,), (16,))]
+    weight = rng.standard_normal((3, 5, 16)).astype(np.float32)
+    trainable = (True, residual_trainable, True, True)
+    unfused = _grads_bits(lambda x, r, g, b: layer_norm(x + r, g, b), values, trainable, weight)
+    fused = _grads_bits(lambda x, r, g, b: layer_norm(x, g, b, residual=r), values, trainable,
+                        weight)
+    # the fused backward lists x, residual, gain, bias; the sum's x + r gets
+    # one gradient for x, and for r when it is trainable
+    assert len(fused) == 4 + residual_trainable
+    for want, got in zip(unfused, fused):
+        assert np.array_equal(want, got)
+
+
+def test_fused_forms_widen_to_a_float64_operand():
+    rng = _rng(44)
+    a = Tensor(rng.standard_normal((2, 3, 4)).astype(np.float32))
+    w = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
+    with precision(np.float64):
+        bias = Tensor(rng.standard_normal(5) * 1e-9 + 1.0)
+        residual = Tensor(rng.standard_normal((2, 3, 4)) * 1e-9)
+        gain, shift = Tensor(np.ones(4)), Tensor(np.zeros(4))
+    out = matmul(a, w, scale=0.5, bias=bias)
+    assert out.data.dtype == np.float64
+    np.testing.assert_array_equal(out.data, (a.data @ w.data * np.float32(0.5)) + bias.data)
+    normed = layer_norm(a, gain, shift, residual=residual)
+    assert normed.data.dtype == np.float64
+    np.testing.assert_array_equal(normed.data, layer_norm(constant(a.data + residual.data),
+                                                          gain, shift).data)
+
+
+def _softmax_before(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    """The softmax forward as it was written with the halving max on every shape."""
+    out = z - autograd._max_by_halving(z, axis)
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True, dtype=np.float64).astype(out.dtype)
+    return out
+
+
+def _log_softmax_before(z: np.ndarray, g: np.ndarray, temperature: float):
+    """log_softmax forward and backward as written before the temperature-1 skip."""
+    z = z / temperature
+    shifted = z - z.max(axis=-1, keepdims=True)
+    out = shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True,
+                                  dtype=np.float64).astype(z.dtype))
+    gsum = np.sum(g, axis=-1, keepdims=True, dtype=np.float64).astype(g.dtype)
+    return out, (g - np.exp(out) * gsum) / temperature
+
+
+@pytest.mark.parametrize("shape", [(8, 4, 1, 32), (3, 2, 1, 5), (2, 4, 2, 17), (8, 4, 32, 32),
+                                   (1, 1, 1, 1), (4, 40, 9)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_matches_the_halving_max_form_bit_for_bit(shape, dtype):
+    z = _awkward_values(shape, dtype, sum(shape))
+    z.reshape(-1, shape[-1])[0] = -0.0
+    with precision(dtype):
+        out = softmax(Tensor(z)).data
+    assert np.array_equal(_bits(out), _bits(_softmax_before(z)))
+
+
+@pytest.mark.parametrize("temperature", [1.0, 2.0])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_log_softmax_matches_the_dividing_form_bit_for_bit(temperature, dtype):
+    z = _awkward_values((30, 25), dtype, 45)
+    z[0] = -0.0
+    g = _awkward_values((30, 25), dtype, 46)
+    with precision(dtype):
+        x = Tensor(z, requires_grad=True)
+        out = log_softmax(x, temperature=temperature)
+        out.grad = g
+        out._backward()
+    want_out, want_grad = _log_softmax_before(z, g, temperature)
+    assert np.array_equal(_bits(out.data), _bits(want_out))
+    assert np.array_equal(_bits(x.grad), _bits(want_grad))
 
 
 def _layer_norm_grads(x, gain, bias, weight, dtype):

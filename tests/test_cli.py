@@ -181,6 +181,36 @@ class TestExitCodes:
         assert "learning_rate must be finite" in capsys.readouterr().err
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["synth", "pretrain", "distill", "condition",
+                                         "finetune", "evaluate"])
+    def test_negative_seed_is_a_usage_error(self, cli_env, student_ckpt, tmp_path, capsys,
+                                            command):
+        vocab, corpus = ["--vocab", cli_env["vocab"]], ["--corpus", cli_env["corpus_a"]]
+        task = ["--eval", cli_env["cls_eval"], "--max-len", "16"]
+        finetune = ["finetune", "--model", student_ckpt, *vocab, "--train", cli_env["cls_train"],
+                    *task, "--task-kind", "classification", "--ft-epochs", "1"]
+        tuned = str(tmp_path / "tuned")
+        if command == "evaluate":
+            assert main([*finetune, "--run-dir", str(tmp_path / "run_ft"), "--out", tuned]) == 0
+            capsys.readouterr()
+        argv = {
+            "synth": ["synth", "--docs", "5"],
+            "pretrain": ["pretrain", *corpus, *vocab, *ARCH, *TRAIN],
+            "distill": ["distill", "--teacher", cli_env["teacher"], *corpus, *vocab, *ARCH,
+                        *TRAIN],
+            "condition": ["condition", "--teacher", cli_env["teacher"], *corpus, *vocab, *TRAIN],
+            "finetune": finetune,
+            "evaluate": ["evaluate", "--model", tuned, *vocab, *task],
+        }[command]
+        run, out = tmp_path / "r", tmp_path / "out"
+        rc = main([*argv, "--run-dir", str(run), "--seed", "-1",
+                   *(["--out", str(out)] if command != "evaluate" else [])])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigurationError: seed must be non-negative")
+        assert not out.exists()
+        for name in ("loss_log.csv", "metrics.csv"):
+            assert not (run / name).exists()
+
     def test_diverging_pretrain_fails_and_saves_nothing(self, cli_env, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             rc = main(["pretrain", "--run-dir", str(tmp_path / "r"),

@@ -15,8 +15,9 @@ import pytest
 import monodistil
 from monodistil import losses
 from monodistil.autograd import Tensor, gather_rows
-from monodistil.data import MaskedBatch
+from monodistil.data import MaskedBatch, encode_corpus, make_mlm_batch
 from monodistil.distill import (
+    MLM_ONLY_WEIGHTS,
     DistillConfig,
     condition_teacher,
     distill_loss,
@@ -32,7 +33,7 @@ from monodistil.errors import (
     NoMaskedPositionsError,
     TrainingDivergedError,
 )
-from monodistil.model import init_random
+from monodistil.model import EncoderConfig, forward_mlm, init_random
 from monodistil.tokenizer import SPECIAL_TOKENS, Vocab
 
 
@@ -41,6 +42,35 @@ def _model_hash(model):
     for name in sorted(model.params):
         hasher.update(model.params[name].data.tobytes())
     return hasher.hexdigest()
+
+
+def _graph(root):
+    """Every tensor in the tape under ``root``."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def test_mlm_step_tape_holds_no_spent_gradient(small_bundle, small_vocab):
+    cfg = EncoderConfig(hidden_dim=64, intermediate_size=256, num_layers=2, num_heads=4,
+                        max_positions=32, vocab_size=len(small_vocab))
+    model = init_random(cfg, seed=3)
+    batch = make_mlm_batch(encode_corpus(small_bundle.mixed[:32], small_vocab, 32), 0.15, 5,
+                           small_vocab)
+    logits = forward_mlm(model, batch.token_ids, batch.attention_mask, rows=batch.mlm_mask)
+    loss = distill_loss(logits, None, batch, DistillConfig(**MLM_ONLY_WEIGHTS))[0]
+    nodes = _graph(loss)
+    # embeddings 5, each layer 21 (bias, scale and residual adds ride inside
+    # matmul and layer_norm), the last layer's gather 1, head and loss 8
+    assert sum(1 for n in nodes if n._backward is not None) == 56
+    loss.backward()
+    assert [n for n in nodes if n._parents and n.grad is not None] == []
+    assert all(p.grad is not None for p in model.params.values())
 
 
 def _toy_loss_inputs(seed=0, vocab_size=7, seq=6):
