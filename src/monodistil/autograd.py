@@ -232,8 +232,6 @@ class Tensor:
         out = Tensor._from_result(out_data, (a, b), back)
         return out
 
-    __radd__ = __add__
-
     def __mul__(self, other):
         other = as_tensor(other, like=self)
         out_data = self.data * other.data
@@ -248,8 +246,6 @@ class Tensor:
         out = Tensor._from_result(out_data, (a, b), back)
         return out
 
-    __rmul__ = __mul__
-
     def __neg__(self):
         a = self
 
@@ -262,9 +258,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-as_tensor(other, like=self))
-
-    def __rsub__(self, other):
-        return as_tensor(other, like=self) + (-self)
 
     def __truediv__(self, scalar):
         if isinstance(scalar, Tensor):
@@ -282,9 +275,6 @@ class Tensor:
 
         out = Tensor._from_result(out_data, (a,), back)
         return out
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     # -- shape manipulation ---------------------------------------------
 

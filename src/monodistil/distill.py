@@ -140,8 +140,7 @@ def distill_loss(student_logits: Tensor, teacher_logits: Tensor | None,
 
 
 def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
-                    corpus: list[str], cfg: DistillConfig, vocab: Vocab,
-                    clock=time.perf_counter) -> TrainState:
+                    corpus: list[str], cfg: DistillConfig, vocab: Vocab) -> TrainState:
     if not corpus:
         raise ConfigurationError("cannot train on an empty corpus")
     for role, model in (("trained model", student), ("teacher", teacher)):
@@ -151,12 +150,11 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     sequences = encode_corpus(corpus, vocab, cfg.max_len)
-    params = student.trainable_params()
-    optimizer = AdamW(params, learning_rate=cfg.learning_rate)
+    optimizer = AdamW(student.params, learning_rate=cfg.learning_rate)
 
     rows: list[LogRow] = []
     step = 0
-    start = clock()
+    start = time.perf_counter()
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(sequences))
         for lo in range(0, len(order), cfg.batch_size):
@@ -178,24 +176,24 @@ def _train_mlm_loop(student: EncoderModel, teacher: EncoderModel | None,
             total, kl_part, mlm_part = distill_loss(student_logits, teacher_logits, batch, cfg)
             step += 1
             t0 = time.perf_counter()
-            grad_norm = train_step(total, optimizer, params, step, epoch)
+            grad_norm = train_step(total, optimizer, step, epoch)
             update_seconds = time.perf_counter() - t0
             kl_val, mlm_val = float(kl_part.item()), float(mlm_part.item())
             rows.append(LogRow(step, epoch,
                                cfg.alpha_kl * kl_val + cfg.alpha_mlm * mlm_val,
                                kl_val, mlm_val, grad_norm, int(batch.mlm_mask.sum()),
-                               teacher_seconds, update_seconds, clock() - start))
+                               teacher_seconds, update_seconds, time.perf_counter() - start))
     if not rows:
         raise ConfigurationError(
             "training produced no steps (every batch had zero masked positions)")
-    if not parameters_finite(params.values()):
+    if not parameters_finite(optimizer.params.values()):
         raise TrainingDivergedError(f"parameters are non-finite after step {step}")
     return TrainState(cfg, rows)
 
 
 def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: list[str],
-                cfg: DistillConfig, vocab: Vocab, init_from_teacher: str = "none",
-                clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
+                cfg: DistillConfig, vocab: Vocab,
+                init_from_teacher: str = "none") -> tuple[EncoderModel, TrainState]:
     """Train a fresh student against a frozen teacher.
 
     ``init_from_teacher`` applies before the first step: "copy" seeds the
@@ -212,6 +210,8 @@ def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: list[
             f"({teacher.config.vocab_size} vs {student_cfg.vocab_size}); "
             "both sides must share one vocabulary")
     model_vocab_guard(teacher, vocab)
+    if init_from_teacher != "none":
+        check_embedding_copy(teacher.config, student_cfg)
 
     student = init_random(student_cfg, cfg.seed)
     if init_from_teacher in ("copy", "copy_and_freeze"):
@@ -220,8 +220,22 @@ def distill_run(teacher: EncoderModel, student_cfg: EncoderConfig, corpus: list[
         student["token_embedding"].requires_grad = False
         student["position_embedding"].requires_grad = False
 
-    state = _train_mlm_loop(student, teacher, corpus, cfg, vocab, clock)
+    state = _train_mlm_loop(student, teacher, corpus, cfg, vocab)
     return student, state
+
+
+def check_embedding_copy(teacher_cfg: EncoderConfig, student_cfg: EncoderConfig) -> None:
+    """Raise ``ConfigurationError`` before any training when the teacher's
+    embeddings cannot seed the student: the widths differ, or the student
+    has more positions than the teacher."""
+    if student_cfg.hidden_dim != teacher_cfg.hidden_dim:
+        raise ConfigurationError(
+            f"copying teacher embeddings needs equal widths: student hidden_dim "
+            f"{student_cfg.hidden_dim}, teacher hidden_dim {teacher_cfg.hidden_dim}")
+    if student_cfg.max_positions > teacher_cfg.max_positions:
+        raise ConfigurationError(
+            f"copying teacher embeddings needs the student's max_positions "
+            f"{student_cfg.max_positions} within the teacher's {teacher_cfg.max_positions}")
 
 
 def _mlm_only(cfg: DistillConfig) -> DistillConfig:
@@ -230,19 +244,19 @@ def _mlm_only(cfg: DistillConfig) -> DistillConfig:
 
 
 def pretrain_mlm(model_cfg: EncoderConfig, corpus: list[str], cfg: DistillConfig,
-                 vocab: Vocab, clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
+                 vocab: Vocab) -> tuple[EncoderModel, TrainState]:
     """Plain MLM training under ``MLM_ONLY_WEIGHTS``, whatever ``cfg`` sets."""
     model = init_random(model_cfg, cfg.seed)
-    state = _train_mlm_loop(model, None, corpus, _mlm_only(cfg), vocab, clock)
+    state = _train_mlm_loop(model, None, corpus, _mlm_only(cfg), vocab)
     return model, state
 
 
 def condition_teacher(teacher: EncoderModel, corpus: list[str], cfg: DistillConfig,
-                      vocab: Vocab, clock=time.perf_counter) -> tuple[EncoderModel, TrainState]:
+                      vocab: Vocab) -> tuple[EncoderModel, TrainState]:
     """MLM-finetune a copy of the teacher on ``corpus``; the original is untouched."""
     model_vocab_guard(teacher, vocab)
     conditioned = clone_model(teacher)
-    state = _train_mlm_loop(conditioned, None, corpus, _mlm_only(cfg), vocab, clock)
+    state = _train_mlm_loop(conditioned, None, corpus, _mlm_only(cfg), vocab)
     return conditioned, state
 
 

@@ -19,7 +19,8 @@ import numpy as np
 from . import losses
 from .autograd import no_grad, parameters_finite
 from .data import IGNORE_ID, make_labeled_batches, subsample
-from .distill import DistillConfig, check_training_settings, condition_teacher, distill_run
+from .distill import (DistillConfig, check_embedding_copy, check_training_settings,
+                      condition_teacher, distill_run)
 from .errors import ConfigurationError, EvaluationError, TrainingDivergedError
 from .metrics import accuracy, span_f1
 from .model import (EncoderConfig, EncoderModel, Head, check_max_len, clone_model,
@@ -157,8 +158,8 @@ def evaluate_task(model: EncoderModel, head: Head, eval_path, vocab: Vocab,
     return _evaluate_task(model, head, eval_batches)
 
 
-def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
-             clock=time.perf_counter) -> tuple[EncoderModel, Head, MetricReport]:
+def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab,
+             model_name: str) -> tuple[EncoderModel, Head, MetricReport]:
     """Attach a fresh head, train the full model, and score the eval split.
 
     The input model is cloned, never mutated. The reported runtime covers
@@ -176,21 +177,20 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab, model_name: str,
     tuned = clone_model(model)
     head = init_head(tuned.config, HEAD_KINDS[task.kind], tuple(label_map), task.seed)
     # the masked-LM head takes no part in downstream tasks
-    params = {k: v for k, v in tuned.trainable_params().items()
+    params = {k: v for k, v in tuned.params.items()
               if k not in ("mlm_head_weight", "mlm_head_bias")}
     params.update(head.params())
     optimizer = AdamW(params, learning_rate=task.learning_rate)
     dropout = (FINETUNE_DROPOUT, np.random.Generator(np.random.PCG64(task.seed + 1)))
 
     step = 0
-    start = clock()
+    start = time.perf_counter()
     for epoch in range(1, task.epochs + 1):
         for batch in train_batches:
             step += 1
-            train_step(_finetune_loss(tuned, head, batch, dropout),
-                       optimizer, params, step, epoch)
-    runtime = clock() - start
-    if not parameters_finite(params.values()):
+            train_step(_finetune_loss(tuned, head, batch, dropout), optimizer, step, epoch)
+    runtime = time.perf_counter() - start
+    if not parameters_finite(optimizer.params.values()):
         raise TrainingDivergedError(f"parameters are non-finite after step {step}")
     if runtime <= 0:
         runtime = 1e-9
@@ -338,6 +338,10 @@ def run_ablation_data_fraction(teacher: EncoderModel, corpus: list[str],
         raise ConfigurationError("need at least one fraction")
     # every fraction and every name is checked before any training
     subsets = {f: subsample(corpus, f, cfg.seed) for f in sorted(set(fractions), reverse=True)}
+    for fraction, sub in subsets.items():
+        if not sub:
+            raise ConfigurationError(
+                f"fraction {fraction} keeps no document of the {len(corpus)}-document corpus")
     names = {f: f"{STUDENT_NAME} @{round(f * 100):d}%" for f in subsets}
     _check_unique_names([BASELINE_NAME, *names.values()], downstream)
     models = [(BASELINE_NAME, teacher)]
@@ -364,6 +368,7 @@ def run_ablation_init(teacher: EncoderModel, corpus: list[str], downstream: Task
                       cfg: DistillConfig, vocab: Vocab,
                       student_cfg: EncoderConfig) -> ComparisonReport:
     """Students initialized blank, from teacher embeddings, and frozen-copied."""
+    check_embedding_copy(teacher.config, student_cfg)
     named_modes = [(STUDENT_NAME, "none"),
                    (f"{STUDENT_NAME} Init", "copy"),
                    (f"{STUDENT_NAME} Init+Freeze", "copy_and_freeze")]

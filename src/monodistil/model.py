@@ -86,9 +86,6 @@ class EncoderModel:
     def __getitem__(self, name: str) -> Tensor:
         return self.params[name]
 
-    def trainable_params(self) -> dict[str, Tensor]:
-        return {k: t for k, t in self.params.items() if t.requires_grad}
-
 
 def truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal(0, std) with values beyond two deviations resampled."""

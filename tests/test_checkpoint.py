@@ -124,7 +124,7 @@ class TestRoundTrip:
         for name in model.params:
             np.testing.assert_array_equal(loaded[name].data, model[name].data)
             assert loaded[name].requires_grad, name
-        assert set(loaded.trainable_params()) == set(model.params)
+        assert set(loaded.params) == set(model.params)
 
 
 class TestHeadRoundTrip:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from monodistil import harness
 from monodistil.checkpoint import checkpoint_digest, load_finetuned
 from monodistil.cli import build_parser, main
 from monodistil.data import make_labeled_batches
@@ -262,6 +263,41 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("UsageError:") and repr(bad) in err
         assert not run.exists()
+
+    def test_fraction_keeping_no_document_fails_before_training(self, cli_env, tmp_path,
+                                                                 capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(harness, "distill_run", lambda *args, **kwargs: trained.append(1))
+        rc = main(["ablate", "--run-dir", str(tmp_path / "r"), "--protocol", "fraction",
+                   "--teacher", cli_env["teacher"], "--corpus", cli_env["corpus_a"],
+                   "--vocab", cli_env["vocab"], *ARCH, *TRAIN,
+                   "--train", cli_env["cls_train"], "--eval", cli_env["cls_eval"],
+                   "--task-kind", "classification", "--fractions", "1.0,0.5,0.01"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "ConfigurationError: fraction 0.01 keeps no document of the 30-document corpus")
+        assert trained == []
+
+    @pytest.mark.parametrize("command", ["distill", "ablate"])
+    def test_copy_init_at_unequal_widths_fails_before_training(self, cli_env, tmp_path, capsys,
+                                                               monkeypatch, command):
+        # the teacher is 16 wide; the CLI's default student is 32 wide
+        trained = []
+        monkeypatch.setattr(harness, "distill_run", lambda *args, **kwargs: trained.append(1))
+        common = ["--run-dir", str(tmp_path / "r"), "--teacher", cli_env["teacher"],
+                  "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"], *TRAIN]
+        if command == "distill":
+            argv = ["distill", *common, "--init", "copy", "--out", str(tmp_path / "ckpt")]
+        else:
+            argv = ["ablate", *common, "--protocol", "init", "--train", cli_env["cls_train"],
+                    "--eval", cli_env["cls_eval"], "--task-kind", "classification"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            "ConfigurationError: copying teacher embeddings needs equal widths: "
+            "student hidden_dim 32, teacher hidden_dim 16")
+        assert trained == []
+        assert not (tmp_path / "r" / "loss_log.csv").exists()
+        assert not (tmp_path / "ckpt").exists()
 
     def test_max_len_beyond_positions_fails_before_training(self, cli_env, tmp_path, capsys):
         run = tmp_path / "r"

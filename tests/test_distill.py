@@ -7,13 +7,14 @@ import os
 import platform
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import monodistil
-from monodistil import losses
+from monodistil import distill, losses
 from monodistil.autograd import Tensor, gather_rows
 from monodistil.data import MaskedBatch, encode_corpus, make_mlm_batch
 from monodistil.distill import (
@@ -266,6 +267,23 @@ class TestTrainingLoops:
             distill_run(toy_teacher, tiny_cfg, small_bundle.lang_a, fast_cfg,
                         small_vocab, init_from_teacher="clone")
 
+    @pytest.mark.parametrize("mode", ["copy", "copy_and_freeze"])
+    @pytest.mark.parametrize("change, message", [
+        ({"hidden_dim": 32, "intermediate_size": 64},
+         "student hidden_dim 32, teacher hidden_dim 16"),
+        ({"max_positions": 32}, "max_positions 32 within the teacher's 16"),
+    ], ids=["width", "positions"])
+    def test_uncopyable_embeddings_rejected_before_the_student_is_built(
+            self, toy_teacher, tiny_cfg, small_bundle, small_vocab, fast_cfg, monkeypatch,
+            mode, change, message):
+        built = []
+        monkeypatch.setattr(distill, "init_random", lambda *args: built.append(args))
+        student_cfg = dataclasses.replace(tiny_cfg, **change)
+        with pytest.raises(ConfigurationError, match=message):
+            distill_run(toy_teacher, student_cfg, small_bundle.lang_a, fast_cfg, small_vocab,
+                        init_from_teacher=mode)
+        assert built == []
+
     def test_same_seed_reproduces_student_exactly(self, toy_teacher, tiny_cfg,
                                                   small_bundle, small_vocab, fast_cfg):
         a, _ = distill_run(toy_teacher, tiny_cfg, small_bundle.lang_a, fast_cfg, small_vocab)
@@ -330,7 +348,7 @@ class TestTrainingLoops:
         with pytest.raises(ConfigurationError, match="the teacher's max_positions"):
             distill_run(teacher, long_student, small_bundle.lang_a, cfg, small_vocab)
 
-    def test_clock_injection(self, tiny_cfg, small_bundle, small_vocab):
+    def test_clock_injection(self, tiny_cfg, small_bundle, small_vocab, monkeypatch):
         ticks = [0.0]
 
         def clock():
@@ -338,10 +356,12 @@ class TestTrainingLoops:
             return ticks[0]
 
         cfg = DistillConfig(epochs=1, batch_size=8, max_len=16, seed=0)
-        _, state = pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab,
-                                clock=clock)
+        monkeypatch.setattr(time, "perf_counter", clock)
+        _, state = pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab)
+        # a step reads the clock three times: before and after train_step, then elapsed
+        assert [row.update_seconds for row in state.log] == [1.0] * len(state.log)
         assert [row.elapsed_seconds for row in state.log] == \
-            [float(i) for i in range(1, len(state.log) + 1)]
+            [3.0 * i for i in range(1, len(state.log) + 1)]
 
 
 class TestConditioning:
@@ -452,8 +472,7 @@ from monodistil.optim import AdamW, train_step
 BATCH, SEQ, VOCAB = 8, 32, 252
 teacher = init_random(EncoderConfig(64, 256, 2, 4, 64, VOCAB), seed=0)
 student = init_random(EncoderConfig(32, 128, 1, 4, 64, VOCAB), seed=1)
-params = student.trainable_params()
-optimizer = AdamW(params)
+optimizer = AdamW(student.params)
 rng = np.random.default_rng(0)
 
 def step(i):
@@ -466,7 +485,7 @@ def step(i):
     logits = forward_mlm(student, ids, attention, rows=rows)
     loss = (losses.kl_divergence(logits, teacher_logits, 2.0) * 4.0
             + losses.cross_entropy(logits, ids[rows]))
-    train_step(loss, optimizer, params, i, 1)
+    train_step(loss, optimizer, i, 1)
 
 for i in range(10):
     step(i)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -100,14 +101,16 @@ class TestFinetune:
         finetune(tiny_model, cls_task, small_vocab, "modelA")
         assert _model_hash(tiny_model) == before
 
-    def test_fake_clock_times_only_training(self, tiny_model, cls_task, small_vocab):
+    def test_fake_clock_times_only_training(self, tiny_model, cls_task, small_vocab,
+                                            monkeypatch):
         ticks = [0.0]
 
         def clock():
             ticks[0] += 1.0
             return ticks[0]
 
-        _, _, rep = finetune(tiny_model, cls_task, small_vocab, "modelA", clock=clock)
+        monkeypatch.setattr(time, "perf_counter", clock)
+        _, _, rep = finetune(tiny_model, cls_task, small_vocab, "modelA")
         # one call before the loop, one after
         assert rep.runtime_seconds == 1.0
 
@@ -138,6 +141,34 @@ class TestAblation:
             harness.run_ablation_data_fraction(tiny_model, small_bundle.lang_a, [1.0, 0.0],
                                                cls_task, DistillConfig(max_len=16),
                                                small_vocab, tiny_cfg)
+        assert calls == []
+
+    def test_fraction_keeping_no_document_rejected_before_any_training(
+            self, tiny_model, tiny_cfg, cls_task, small_bundle, small_vocab, monkeypatch):
+        # 0.001 of the 40-document corpus keeps none; the larger fractions come first
+        calls = []
+        monkeypatch.setattr(harness, "distill_run",
+                            lambda *args, **kwargs: calls.append("distill_run"))
+        monkeypatch.setattr(harness, "finetune", lambda *args, **kwargs: calls.append("finetune"))
+        with pytest.raises(ConfigurationError,
+                           match="fraction 0.001 keeps no document of the 40-document corpus"):
+            harness.run_ablation_data_fraction(tiny_model, small_bundle.lang_a,
+                                               [1.0, 0.5, 0.001], cls_task,
+                                               DistillConfig(epochs=1, max_len=16),
+                                               small_vocab, tiny_cfg)
+        assert calls == []
+
+    def test_init_ablation_at_unequal_widths_rejected_before_any_training(
+            self, tiny_model, tiny_cfg, cls_task, small_bundle, small_vocab, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "distill_run",
+                            lambda *args, **kwargs: calls.append("distill_run"))
+        monkeypatch.setattr(harness, "finetune", lambda *args, **kwargs: calls.append("finetune"))
+        wide = dataclasses.replace(tiny_cfg, hidden_dim=32, intermediate_size=64)
+        with pytest.raises(ConfigurationError,
+                           match="student hidden_dim 32, teacher hidden_dim 16"):
+            harness.run_ablation_init(tiny_model, small_bundle.lang_a, cls_task,
+                                      DistillConfig(epochs=1, max_len=16), small_vocab, wide)
         assert calls == []
 
     def test_colliding_fraction_labels_rejected(self, tiny_model, tiny_cfg, cls_task,

@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from monodistil import optim
 from monodistil.autograd import (Tensor, finite_difference_check, gather_rows, matmul,
                                  no_grad, select)
 from monodistil.data import make_labeled_batches
@@ -200,14 +201,15 @@ class TestHeads:
         with pytest.raises(ConfigurationError):
             init_head(tiny_cfg, "sequence", ("a",), seed=0)
 
-    def test_head_learns_separable_toy_task(self, tiny_cfg, tiny_model):
+    def test_head_learns_separable_toy_task(self, tiny_cfg, tiny_model, monkeypatch):
         # label equals token identity: a frozen encoder plus linear probe must fit it
         ids = np.asarray([[2, 7, 9, 7, 9, 7, 9, 3]])
         mask = np.ones((1, 8), dtype=bool)
         labels = np.where(ids == 7, 0, 1)
         content = ids >= 5
         head = init_head(tiny_cfg, "token", ("a", "b"), seed=3)
-        opt = AdamW(head.params(), learning_rate=0.1, weight_decay=0.0)
+        monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
+        opt = AdamW(head.params(), learning_rate=0.1)
         for _ in range(40):
             logits = forward_token_cls(tiny_model, head, ids, mask, num_labels=2)
             loss = cross_entropy_masked(logits, labels, content)
@@ -463,7 +465,7 @@ class TestEmbeddingCopyAndFreeze:
         model["token_embedding"].requires_grad = False
         model["position_embedding"].requires_grad = False
         before = model["token_embedding"].data.copy()
-        opt = AdamW(model.trainable_params(), learning_rate=1e-2)
+        opt = AdamW(model.params, learning_rate=1e-2)
         ids, mask = _toy_batch(tiny_cfg.vocab_size, batch=2, seq=8)
         for _ in range(3):
             logits = forward_mlm(model, ids, mask)

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from monodistil import distill, harness
+from monodistil import distill, harness, optim
 from monodistil.autograd import Tensor
-from monodistil.distill import DistillConfig, pretrain_mlm
+from monodistil.distill import DistillConfig, distill_run, pretrain_mlm
 from monodistil.errors import UsageError
 from monodistil.harness import TaskSpec, finetune
 from monodistil.losses import cross_entropy
@@ -22,27 +22,30 @@ def _param(value, shape=()):
     return t
 
 
-def test_zero_grad_zero_decay_leaves_parameters_unchanged():
+def test_zero_grad_zero_decay_leaves_parameters_unchanged(monkeypatch):
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
     p = _param(1.5, (3,))
-    opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
+    opt = AdamW({"p": p}, learning_rate=0.1)
     p.grad = np.zeros_like(p.data)
     opt.step()
     np.testing.assert_array_equal(p.data, np.full((3,), 1.5, dtype=np.float32))
 
 
-def test_first_step_moves_by_learning_rate():
+def test_first_step_moves_by_learning_rate(monkeypatch):
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
     p = _param(1.0)
-    opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
+    opt = AdamW({"p": p}, learning_rate=0.1)
     p.grad = np.ones_like(p.data)
     opt.step()
     # bias-corrected Adam with eps 1e-8: first step is lr within ~1e-7 relative
     assert abs((1.0 - float(p.data)) - 0.1) < 1e-6
 
 
-def test_decay_shrinks_magnitude_with_zero_grad():
+def test_decay_shrinks_magnitude_with_zero_grad(monkeypatch):
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.5)
     for sign in (+1.0, -1.0):
         p = _param(sign * 2.0)
-        opt = AdamW({"p": p}, learning_rate=0.05, weight_decay=0.5)
+        opt = AdamW({"p": p}, learning_rate=0.05)
         p.grad = np.zeros_like(p.data)
         opt.step()
         assert abs(float(p.data)) < 2.0
@@ -72,7 +75,8 @@ def test_step_count_increments_and_grads_survive_step():
 
 # 0.3 as well: at 0.5 a reordered decay product rounds alike
 @pytest.mark.parametrize("weight_decay", [0.0, 0.5, 0.3])
-def test_in_place_update_matches_the_textbook_formula_bit_for_bit(weight_decay):
+def test_in_place_update_matches_the_textbook_formula_bit_for_bit(monkeypatch, weight_decay):
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", weight_decay)
     rng = np.random.Generator(np.random.PCG64(11))
     shapes = [(), (1,), (7,), (5, 3), (4, 2, 3), (64, 48)]
     params = {f"p{i}": Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
@@ -80,7 +84,7 @@ def test_in_place_update_matches_the_textbook_formula_bit_for_bit(weight_decay):
     want = {n: p.data.copy() for n, p in params.items()}
     moments = {n: (np.zeros_like(w), np.zeros_like(w)) for n, w in want.items()}
     lr = 0.03
-    opt = AdamW(params, learning_rate=lr, weight_decay=weight_decay)
+    opt = AdamW(params, learning_rate=lr)
     for step in range(1, 6):
         for name, p in params.items():
             p.grad = rng.standard_normal(p.shape).astype(np.float32)
@@ -102,11 +106,13 @@ def test_in_place_update_matches_the_textbook_formula_bit_for_bit(weight_decay):
         np.testing.assert_array_equal(opt.second_moment[name], moments[name][1], err_msg=name)
 
 
-def test_loss_scale_invariance_of_update_direction():
+def test_loss_scale_invariance_of_update_direction(monkeypatch):
     """Scaling every gradient by a constant barely moves an Adam step."""
+    monkeypatch.setattr(optim, "WEIGHT_DECAY", 0.0)
+
     def one_step(scale):
         p = _param(1.0, (4,))
-        opt = AdamW({"p": p}, learning_rate=0.1, weight_decay=0.0)
+        opt = AdamW({"p": p}, learning_rate=0.1)
         rng = np.random.Generator(np.random.PCG64(5))
         p.grad = (rng.standard_normal(4) * scale).astype(np.float32)
         opt.step()
@@ -171,7 +177,7 @@ def test_clip_grad_norm_matches_the_per_tensor_formula_bit_for_bit(seed, scale):
 def test_train_step_returns_the_pre_clip_norm():
     p = Tensor(np.array([3.0, 4.0], dtype=np.float32), requires_grad=True)
     loss = (p * p).sum()
-    norm = train_step(loss, AdamW({"p": p}, learning_rate=0.1), {"p": p}, 1, 1)
+    norm = train_step(loss, AdamW({"p": p}, learning_rate=0.1), 1, 1)
     # gradient 2p = [6, 8]: norm 10 before clipping, 1 after
     assert norm == pytest.approx(10.0)
     assert np.linalg.norm(p.grad) == pytest.approx(1.0)
@@ -181,8 +187,7 @@ def test_train_step_frees_its_tape_without_the_cyclic_gc():
     cfg = EncoderConfig(hidden_dim=16, intermediate_size=32, num_layers=1, num_heads=2,
                         max_positions=8, vocab_size=30)
     model = init_random(cfg, seed=0)
-    params = model.trainable_params()
-    optimizer = AdamW(params)
+    optimizer = AdamW(model.params)
     rng = np.random.Generator(np.random.PCG64(0))
     ids = rng.integers(0, cfg.vocab_size, size=(2, 6))
     mask = np.ones((2, 6), dtype=np.int64)
@@ -191,7 +196,7 @@ def test_train_step_frees_its_tape_without_the_cyclic_gc():
     try:
         for step in range(1, 4):
             logits = forward_mlm(model, ids, mask).reshape(-1, cfg.vocab_size)
-            train_step(cross_entropy(logits, ids.reshape(-1)), optimizer, params, step, 1)
+            train_step(cross_entropy(logits, ids.reshape(-1)), optimizer, step, 1)
         # reference counting alone freed every step's graph: no cycles are left
         assert gc.collect() == 0
     finally:
@@ -202,19 +207,11 @@ class PerTensorAdamW(AdamW):
     """The per-tensor update that the flat store replaced, kept as its reference."""
 
     def step(self) -> None:
-        trainable = {n: p for n, p in self.params.items() if p.requires_grad}
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        for name, p in trainable.items():
-            g = p.grad
-            m = self.first_moment.get(name)
-            v = self.second_moment.get(name)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-                self.first_moment[name] = m
-                self.second_moment[name] = v
+        for name, p in self.params.items():
+            g, m, v = p.grad, self.first_moment[name], self.second_moment[name]
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2
@@ -222,25 +219,15 @@ class PerTensorAdamW(AdamW):
             m_hat = m / bc1
             v_hat = v / bc2
             p.data -= self.learning_rate * (m_hat / (np.sqrt(v_hat) + EPSILON))
-            if self.weight_decay > 0.0:
-                p.data -= self.learning_rate * self.weight_decay * p.data
+            p.data -= self.learning_rate * optim.WEIGHT_DECAY * p.data
 
 
-FROZEN = "layer_0_ffn_inner_weight"
-
-
-def _recording(base, made, toggle):
-    """``base`` that records each optimizer it makes; with ``toggle``, it
-    freezes ``FROZEN`` after step 2 and trains it again after step 4."""
+def _recording(base, made):
+    """``base`` that records each optimizer it makes."""
     class Recording(base):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             made.append(self)
-
-        def step(self) -> None:
-            super().step()
-            if toggle and self.step_count in (2, 4):
-                self.params[FROZEN].requires_grad = self.step_count == 4
     return Recording
 
 
@@ -258,29 +245,47 @@ def _assert_twins_equal(flat, per_tensor, flat_params, per_tensor_params):
                                       err_msg=name)
 
 
-@pytest.mark.parametrize("toggle", [False, True], ids=["all-trainable", "frozen-steps-3-4"])
 def test_flat_store_matches_the_per_tensor_update_in_pretraining(
-        monkeypatch, tiny_cfg, small_bundle, small_vocab, toggle):
+        monkeypatch, tiny_cfg, small_bundle, small_vocab):
     cfg = DistillConfig(epochs=2, batch_size=8, max_len=16, seed=0)
     runs = []
     for base in (AdamW, PerTensorAdamW):
         made = []
-        monkeypatch.setattr(distill, "AdamW", _recording(base, made, toggle))
+        monkeypatch.setattr(distill, "AdamW", _recording(base, made))
         model, _ = pretrain_mlm(tiny_cfg, small_bundle.lang_a, cfg, small_vocab)
-        runs.append((made[0], model.trainable_params()))
+        runs.append((made[0], model.params))
     (flat, flat_params), (per_tensor, per_tensor_params) = runs
     _assert_twins_equal(flat, per_tensor, flat_params, per_tensor_params)
 
 
-@pytest.mark.parametrize("toggle", [False, True], ids=["all-trainable", "frozen-steps-3-4"])
+def test_flat_store_matches_the_per_tensor_update_in_copy_and_freeze_distillation(
+        monkeypatch, tiny_cfg, small_bundle, small_vocab):
+    teacher = init_random(tiny_cfg, seed=5)
+    cfg = DistillConfig(epochs=2, batch_size=8, max_len=16, seed=0)
+    runs = []
+    for base in (AdamW, PerTensorAdamW):
+        made = []
+        monkeypatch.setattr(distill, "AdamW", _recording(base, made))
+        student, _ = distill_run(teacher, tiny_cfg, small_bundle.lang_a, cfg, small_vocab,
+                                 init_from_teacher="copy_and_freeze")
+        runs.append((made[0], student.params))
+    (flat, flat_params), (per_tensor, per_tensor_params) = runs
+    # the embeddings were frozen before the optimizer was built: it holds no slot for them
+    frozen = {"token_embedding", "position_embedding"}
+    assert frozen.isdisjoint(flat.params) and frozen.isdisjoint(per_tensor.params)
+    for name in frozen:
+        np.testing.assert_array_equal(flat_params[name].data, teacher[name].data)
+    _assert_twins_equal(flat, per_tensor, flat_params, per_tensor_params)
+
+
 def test_flat_store_matches_the_per_tensor_update_in_finetuning(
-        monkeypatch, tiny_model, small_vocab, bundle_files, toggle):
+        monkeypatch, tiny_model, small_vocab, bundle_files):
     task = TaskSpec("polarity", "classification", bundle_files["cls_train"],
                     bundle_files["cls_eval"], epochs=1, batch_size=16, max_len=16)
     runs = []
     for base in (AdamW, PerTensorAdamW):
         made = []
-        monkeypatch.setattr(harness, "AdamW", _recording(base, made, toggle))
+        monkeypatch.setattr(harness, "AdamW", _recording(base, made))
         finetune(tiny_model, task, small_vocab, "m")
         runs.append((made[0], made[0].params))
     (flat, flat_params), (per_tensor, per_tensor_params) = runs
@@ -288,34 +293,50 @@ def test_flat_store_matches_the_per_tensor_update_in_finetuning(
     _assert_twins_equal(flat, per_tensor, flat_params, per_tensor_params)
 
 
-def test_parameters_are_views_into_one_buffer_that_survives_a_rebuild():
-    rng = np.random.Generator(np.random.PCG64(2))
-    params = {n: Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
-              for n, s in (("a", (3, 2)), ("b", (4,)), ("c", ()))}
-    opt = AdamW(params, learning_rate=0.1)
+def _three_params(seed: int) -> dict[str, Tensor]:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return {n: Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+            for n, s in (("a", (3, 2)), ("b", (4,)), ("c", ()))}
+
+
+def test_parameters_are_views_into_one_buffer():
+    params = _three_params(2)
+    frozen = Tensor(np.ones(5, dtype=np.float32))
+    values = {n: p.data.copy() for n, p in params.items()}
+    opt = AdamW({**params, "frozen": frozen}, learning_rate=0.1)
+    # the store is built at construction, holding the trainable tensors' values
+    assert list(opt.params) == ["a", "b", "c"]
+    buffers = {id(np.asarray(p.data).base) for p in params.values()}
+    assert len(buffers) == 1 and None not in buffers
+    assert frozen.data.base is None
+    for name, p in params.items():
+        np.testing.assert_array_equal(p.data, values[name])
     for p in params.values():
         p.grad = np.ones_like(p.data)
     opt.step()
-    buffers = {id(np.asarray(p.data).base) for p in params.values()}
-    assert len(buffers) == 1 and None not in buffers
-    # data replaced from outside is taken into a new store and still updated
-    replaced = params["a"].data.copy()
-    params["a"].data = replaced.copy()
-    opt.step()
-    assert params["a"].data.base is params["b"].data.base
-    assert np.all(params["a"].data < replaced)
-    # a parameter leaving the trainable set keeps its value; the rest keep their moments
-    moment_b, c_value = opt.first_moment["b"].copy(), params["c"].data.copy()
-    params["c"].requires_grad = False
-    opt.step()
-    np.testing.assert_array_equal(params["c"].data, c_value)
-    np.testing.assert_array_equal(opt.first_moment["b"], moment_b * BETA1 + (1.0 - BETA1))
+    assert all(np.all(p.data < values[n]) for n, p in params.items())
+    assert params["a"].data.base is params["c"].data.base
+
+
+def test_freezing_after_construction_fails_naming_the_tensor():
+    params = _three_params(3)
+    opt = AdamW(params, learning_rate=0.1)
+    params["b"].requires_grad = False
+    loss = sum(((p * p).sum() for p in params.values()), Tensor(np.zeros((), np.float32)))
+    with pytest.raises(UsageError, match="missing gradients: b$"):
+        train_step(loss, opt, 1, 1)
+    assert opt.step_count == 0
 
 
 def test_mixed_dtypes_are_rejected():
     params = {"a": _param(1.0, (2,)), "b": _param(1.0, (2,))}
     params["b"].data = np.ones(2, dtype=np.float64)
-    for p in params.values():
-        p.grad = np.ones_like(p.data)
     with pytest.raises(UsageError, match="one dtype"):
-        AdamW(params).step()
+        AdamW(params)
+
+
+@pytest.mark.parametrize("params", [{}, {"frozen": Tensor(np.ones(2, dtype=np.float32))}],
+                         ids=["no-tensors", "all-frozen"])
+def test_an_empty_trainable_set_is_rejected_at_construction(params):
+    with pytest.raises(UsageError, match="at least one parameter"):
+        AdamW(params)
