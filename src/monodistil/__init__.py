@@ -23,6 +23,6 @@ from .model import (EncoderConfig, EncoderModel, Head, copy_embeddings_from,
                     forward_token_cls, init_head, init_random)
 from .optim import AdamW, clip_grad_norm
 from .synth import SynthConfig, generate_bundle, write_bundle
-from .tokenizer import EncodedSequence, Vocab, decode, encode, train_vocab
+from .tokenizer import EncodedSequence, Vocab, encode, train_vocab
 
 __version__ = "0.1.0"

@@ -307,27 +307,27 @@ class Tensor:
 
     # -- reductions ------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self, axis=None):
         a = self
-        out_data = _sum64(self.data, axis=axis, keepdims=keepdims)
+        out_data = _sum64(self.data, axis=axis)
 
         def back():
             if not a.requires_grad:
                 return
             g = out.grad
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(g, a.shape).copy())
 
         out = Tensor._from_result(out_data, (a,), back)
         return out
 
-    def mean(self, axis=None, keepdims=False):
+    def mean(self, axis=None):
         if axis is None:
             count = self.data.size
         else:
             count = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
+        return self.sum(axis=axis) * (1.0 / count)
 
     # -- pointwise nonlinearities -----------------------------------------
 

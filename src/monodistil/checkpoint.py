@@ -13,6 +13,7 @@ round-trips.
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import hashlib
 import io
 import json
@@ -32,8 +33,7 @@ MANIFEST_NAME = "manifest"
 WEIGHTS_NAME = "weights.bin"
 FORMAT_VERSION = "1"
 
-_CONFIG_FIELDS = ("hidden_dim", "intermediate_size", "num_layers", "num_heads",
-                  "max_positions", "vocab_size")
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(EncoderConfig))
 
 
 def _format_shape(shape: tuple[int, ...]) -> str:
@@ -198,11 +198,9 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
     if not weights_path.exists():
         raise CheckpointCorruptError(f"no weights payload under {path}")
     payload = weights_path.read_bytes()
-    # manifests written before the payload digest existed carry none
-    stored_payload = parser["meta"].get("payload_sha256")
-    if stored_payload is not None and hashlib.sha256(payload).hexdigest() != stored_payload:
+    if hashlib.sha256(payload).hexdigest() != parser["meta"].get("payload_sha256"):
         raise CheckpointCorruptError(
-            f"weights payload under {path} does not match the sha256 in its manifest")
+            f"weights payload under {path} does not match the payload_sha256 in its manifest")
 
     names = parser["tensors"]
     expected = parameter_shapes(config)

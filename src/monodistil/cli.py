@@ -18,6 +18,7 @@ import os
 import sys
 import time
 from configparser import ConfigParser
+from dataclasses import fields
 from pathlib import Path
 
 from .checkpoint import (MANIFEST_NAME, can_hold_checkpoint, checkpoint_digest,
@@ -37,9 +38,6 @@ from .tokenizer import Vocab, train_vocab
 RUNS_ENV = "MONODISTIL_RUNS"
 
 INIT_FLAG_MAP = {"none": "none", "copy": "copy", "copy-freeze": "copy_and_freeze"}
-
-_DISTILL_FLAGS = ("alpha_kl", "alpha_mlm", "temperature", "epochs", "batch_size",
-                  "learning_rate", "mask_rate", "seed", "max_len")
 
 
 def _short_hash(*parts) -> str:
@@ -62,6 +60,16 @@ def _digest(path: Path) -> str:
 def _run_seed(args) -> int:
     """``--seed``, or the library functions' default seed, 0."""
     return args.seed if args.seed is not None else 0
+
+
+def _make_dir(path: Path, flag: str) -> Path:
+    """Make ``path`` a directory, with its parents; a file in the way is a
+    ``UsageError`` naming ``flag``."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise UsageError(f"{flag} {path} is not a directory") from exc
+    return path
 
 
 def _write_sections(run_dir: Path, sections: dict, mode: str) -> None:
@@ -92,12 +100,11 @@ def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=N
             raise DataError(f"input does not exist: {p}")
         digests[str(p)] = _digest(p)
     if getattr(args, "run_dir", None):
-        run_dir = Path(args.run_dir)
+        run_dir = _make_dir(Path(args.run_dir), "--run-dir")
     else:
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
         run_id = f"{stamp}-{_short_hash(subcommand, vars(args), time.time_ns())}"
-        run_dir = Path(os.environ.get(RUNS_ENV, "runs")) / run_id
-    run_dir.mkdir(parents=True, exist_ok=True)
+        run_dir = _make_dir(Path(os.environ.get(RUNS_ENV, "runs")) / run_id, f"${RUNS_ENV}")
     run = {"id": run_dir.name, "subcommand": subcommand,
            "seed": str(seed if seed is not None else _run_seed(args))}
     _write_sections(run_dir, {"run": run, "inputs": digests}, "w")
@@ -122,7 +129,7 @@ def _given(**flags) -> dict:
 def _resolve_distill_config(args, mlm_only: bool = False) -> DistillConfig:
     """Flags over config file over defaults. ``mlm_only`` pins the loss
     weights to MLM alone; a config file that sets them otherwise is an error."""
-    overrides = {name: getattr(args, name, None) for name in _DISTILL_FLAGS}
+    overrides = {f.name: getattr(args, f.name, None) for f in fields(DistillConfig)}
     fixed = MLM_ONLY_WEIGHTS if mlm_only else {}
     if getattr(args, "config", None):
         return load_distill_config(args.config, overrides, fixed)
@@ -146,18 +153,9 @@ def _finish_training(run_dir: Path, args, model, state: TrainState, vocab: Vocab
 
 
 def _encoder_config(args, vocab: Vocab) -> EncoderConfig:
-    return EncoderConfig(
-        hidden_dim=args.hidden_dim,
-        intermediate_size=args.intermediate_size,
-        num_layers=args.num_layers,
-        num_heads=args.num_heads,
-        max_positions=args.max_positions,
-        vocab_size=len(vocab),
-    )
-
-
-def _load_vocab(args) -> Vocab:
-    return Vocab.load(args.vocab)
+    """The architecture flags, whose dests are ``EncoderConfig``'s field names."""
+    return EncoderConfig(**{f.name: getattr(args, f.name) for f in fields(EncoderConfig)
+                            if f.name != "vocab_size"}, vocab_size=len(vocab))
 
 
 def _require_checkpoint(path) -> Path:
@@ -178,9 +176,9 @@ def _task_spec(args, seed: int | None = None) -> TaskSpec:
 
 def cmd_synth(args) -> int:
     run_dir = prepare_run("synth", args, [])
-    out = Path(args.out) if args.out else run_dir / "data"
     cfg = SynthConfig(docs_per_language=args.docs, seed=_run_seed(args),
                       heldout_docs=args.heldout)
+    out = _make_dir(Path(args.out), "--out") if args.out else run_dir / "data"
     bundle = generate_bundle(cfg)
     paths = write_bundle(bundle, out)
     vocab = train_vocab(bundle.mixed, args.vocab_size)
@@ -197,7 +195,7 @@ def cmd_pretrain(args) -> int:
     cfg = _resolve_distill_config(args, mlm_only=True)
     run_dir = prepare_run("pretrain", args, [args.corpus, args.vocab, args.config],
                           checkpoint_out=args.out, seed=cfg.seed)
-    vocab = _load_vocab(args)
+    vocab = Vocab.load(args.vocab)
     corpus = load_corpus(args.corpus)
     model_cfg = _encoder_config(args, vocab)
     model, state = pretrain_mlm(model_cfg, corpus, cfg, vocab)
@@ -208,7 +206,7 @@ def cmd_distill(args) -> int:
     cfg = _resolve_distill_config(args)
     run_dir = prepare_run("distill", args, [args.teacher, args.corpus, args.vocab, args.config],
                           checkpoint_out=args.out, seed=cfg.seed)
-    vocab = _load_vocab(args)
+    vocab = Vocab.load(args.vocab)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
     student_cfg = _encoder_config(args, vocab)
@@ -221,7 +219,7 @@ def cmd_condition(args) -> int:
     cfg = _resolve_distill_config(args, mlm_only=True)
     run_dir = prepare_run("condition", args, [args.teacher, args.corpus, args.vocab, args.config],
                           checkpoint_out=args.out, seed=cfg.seed)
-    vocab = _load_vocab(args)
+    vocab = Vocab.load(args.vocab)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
     conditioned, state = condition_teacher(teacher, corpus, cfg, vocab)
@@ -241,7 +239,7 @@ def _write_metrics(run_dir: Path, row: tuple) -> Path:
 def cmd_finetune(args) -> int:
     run_dir = prepare_run("finetune", args, [args.model, args.vocab, args.train, args.eval],
                           checkpoint_out=args.out)
-    vocab = _load_vocab(args)
+    vocab = Vocab.load(args.vocab)
     model = load_checkpoint(_require_checkpoint(args.model), vocab)
     task = _task_spec(args)
     tuned, head, report = finetune(model, task, vocab, args.model_name)
@@ -259,7 +257,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_evaluate(args) -> int:
     run_dir = prepare_run("evaluate", args, [args.model, args.vocab, args.eval])
-    vocab = _load_vocab(args)
+    vocab = Vocab.load(args.vocab)
     model, head = load_finetuned(_require_checkpoint(args.model), vocab)
     seed = _run_seed(args)
     metric_name, value = evaluate_task(model, head, args.eval, vocab, seed=seed,
@@ -292,7 +290,7 @@ def cmd_ablate(args) -> int:
     run_dir = prepare_run("ablate", args,
                           [args.teacher, args.corpus, args.vocab, args.train, args.eval,
                            args.config], seed=cfg.seed)
-    vocab = _load_vocab(args)
+    vocab = Vocab.load(args.vocab)
     teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
     corpus = load_corpus(args.corpus)
     student_cfg = _encoder_config(args, vocab)
@@ -319,8 +317,11 @@ def cmd_ablate(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = prepare_run("report", args, [args.input])
-    report = parse_report_csv(args.input)
     out = Path(args.out)
+    _make_dir(out.parent, "--out")
+    if out.is_dir():
+        raise UsageError(f"--out {out} is a directory; name the report file")
+    report = parse_report_csv(args.input)
     emit_report(report, args.format, out)
     _record_outputs(run_dir, [out])
     print(f"report: {out}")
@@ -460,8 +461,6 @@ def _run_command(args) -> tuple[int, str | None]:
         return args.func(args), None
     except (ConfigurationError, UsageError, DataError, VocabularyError) as exc:
         return 2, _error_line(exc)
-    except FileNotFoundError as exc:
-        return 2, f"DataError: missing input: {exc}"
     except Exception as exc:
         return 1, _error_line(exc)
 

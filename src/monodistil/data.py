@@ -14,11 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DataError, read_text
-from .tokenizer import EncodedSequence, Vocab, encode, encode_words
+from .tokenizer import SPECIAL_TOKENS, EncodedSequence, Vocab, encode, encode_words
 
 IGNORE_ID = -100
 
-FIRST_CONTENT_ID = 5
+FIRST_CONTENT_ID = len(SPECIAL_TOKENS)
 
 
 def load_corpus(path) -> list[str]:

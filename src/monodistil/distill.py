@@ -254,16 +254,14 @@ def pretrain_mlm(model_cfg: EncoderConfig, corpus: list[str], cfg: DistillConfig
 def condition_teacher(teacher: EncoderModel, corpus: list[str], cfg: DistillConfig,
                       vocab: Vocab) -> tuple[EncoderModel, TrainState]:
     """MLM-finetune a copy of the teacher on ``corpus``; the original is untouched."""
-    model_vocab_guard(teacher, vocab)
     conditioned = clone_model(teacher)
     state = _train_mlm_loop(conditioned, None, corpus, _mlm_only(cfg), vocab)
     return conditioned, state
 
 
 def evaluate_masked(model: EncoderModel, corpus: list[str], vocab: Vocab,
-                    mask_rate: float = 0.15, seed: int = 0, max_len: int = 32,
-                    batch_size: int = 32) -> dict:
-    """Deterministic masked-prediction evaluation pass.
+                    mask_rate: float = 0.15, seed: int = 0, max_len: int = 32) -> dict:
+    """Deterministic masked-prediction evaluation pass, in batches of 32.
 
     Returns position-weighted mean cross entropy and top-1 accuracy over
     all masked positions, plus the position count.
@@ -273,8 +271,8 @@ def evaluate_masked(model: EncoderModel, corpus: list[str], vocab: Vocab,
     total_ce = 0.0
     total_correct = 0
     total_positions = 0
-    for i, lo in enumerate(range(0, len(sequences), batch_size)):
-        batch = make_mlm_batch(sequences[lo:lo + batch_size], mask_rate,
+    for i, lo in enumerate(range(0, len(sequences), 32)):
+        batch = make_mlm_batch(sequences[lo:lo + 32], mask_rate,
                                seed + 7919 * i, vocab)
         n = int(batch.mlm_mask.sum())
         if n == 0:
@@ -299,15 +297,11 @@ def evaluate_masked(model: EncoderModel, corpus: list[str], vocab: Vocab,
 
 
 def write_loss_log(state: TrainState, path) -> None:
+    """One column per ``LogRow`` field; csv writes a float as str, which is its repr."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "epoch", "total", "kl", "mlm", "grad_norm", "n_masked",
-                         "teacher_seconds", "update_seconds", "elapsed_seconds"])
-        for row in state.log:
-            writer.writerow([row.step, row.epoch, repr(row.total), repr(row.kl),
-                             repr(row.mlm), repr(row.grad_norm), row.n_masked,
-                             repr(row.teacher_seconds), repr(row.update_seconds),
-                             repr(row.elapsed_seconds)])
+        writer.writerow([f.name for f in dataclasses.fields(LogRow)])
+        writer.writerows(dataclasses.astuple(row) for row in state.log)
 
 
 def write_resolved_config(cfg: DistillConfig, path) -> None:

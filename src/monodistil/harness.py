@@ -11,7 +11,7 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .autograd import no_grad, parameters_finite
 from .data import IGNORE_ID, make_labeled_batches, subsample
 from .distill import (DistillConfig, check_embedding_copy, check_training_settings,
                       condition_teacher, distill_run)
-from .errors import ConfigurationError, EvaluationError, TrainingDivergedError
+from .errors import ConfigurationError, EvaluationError, TrainingDivergedError, read_text
 from .metrics import accuracy, span_f1
 from .model import (EncoderConfig, EncoderModel, Head, check_max_len, clone_model,
                     forward_sequence_cls, forward_token_cls, init_head, model_vocab_guard)
@@ -144,7 +144,7 @@ def _evaluate_task(model: EncoderModel, head: Head, eval_batches) -> tuple[str, 
 
 
 def evaluate_task(model: EncoderModel, head: Head, eval_path, vocab: Vocab,
-                  max_len: int = 32, batch_size: int = 16, seed: int = 0) -> tuple[str, float]:
+                  max_len: int = 32, seed: int = 0) -> tuple[str, float]:
     """Score an already-finetuned model on one task file of the kind its head
     serves, reading its labels with the head's label ids."""
     if seed < 0:
@@ -153,7 +153,7 @@ def evaluate_task(model: EncoderModel, head: Head, eval_path, vocab: Vocab,
     check_max_len(model, max_len)
     kind = {head_kind: task for task, head_kind in HEAD_KINDS.items()}[head.kind]
     eval_batches, _ = make_labeled_batches(
-        eval_path, vocab, max_len, batch_size, seed, kind=kind,
+        eval_path, vocab, max_len, batch_size=16, seed=seed, kind=kind,
         label_map={label: i for i, label in enumerate(head.labels)})
     return _evaluate_task(model, head, eval_batches)
 
@@ -235,8 +235,7 @@ def measure_speedup(reports: list[MetricReport], baseline: str) -> ComparisonRep
     return ComparisonReport(baseline, rows)
 
 
-CSV_COLUMNS = ("model", "task", "metric_name", "metric_value", "runtime_seconds",
-               "perf_diff", "speedup")
+CSV_COLUMNS = tuple(f.name for f in fields(ComparisonRow))
 
 
 def emit_report(report: ComparisonReport, fmt: str, path) -> Path:
@@ -247,13 +246,8 @@ def emit_report(report: ComparisonReport, fmt: str, path) -> Path:
             fh.write(f"# baseline={report.baseline}\n")
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for row in report.rows:
-                writer.writerow([
-                    row.model, row.task, row.metric_name, repr(row.metric_value),
-                    repr(row.runtime_seconds),
-                    "" if row.perf_diff is None else repr(row.perf_diff),
-                    "" if row.speedup is None else repr(row.speedup),
-                ])
+            # csv writes a float as str, which is its repr, and None as ""
+            writer.writerows(astuple(row) for row in report.rows)
         return path
     if fmt == "markdown":
         lines = [
@@ -281,7 +275,7 @@ def emit_report(report: ComparisonReport, fmt: str, path) -> Path:
 
 def parse_report_csv(path) -> ComparisonReport:
     """Inverse of emit_report(fmt="csv")."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path, "report").splitlines()
     if not lines or not lines[0].startswith("# baseline="):
         raise EvaluationError(f"report csv lacks its baseline comment line: {path}")
     baseline = lines[0].split("=", 1)[1]

@@ -21,10 +21,7 @@ def kl_divergence(p_logits: Tensor, q_logits: Tensor, temperature: float = 1.0) 
     lp = log_softmax(p_logits, temperature=temperature, axis=-1)
     lq = log_softmax(q_logits, temperature=temperature, axis=-1)
     p = lp.exp()
-    per_position = (p * (lp - lq)).sum(axis=-1)
-    if per_position.ndim == 0:
-        return per_position
-    return per_position.reshape(-1).mean()
+    return (p * (lp - lq)).sum(axis=-1).reshape(-1).mean()
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

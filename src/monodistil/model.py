@@ -8,7 +8,7 @@ forward, no segment embeddings. One frozen hyperparameter bundle
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,11 +31,10 @@ class EncoderConfig:
     vocab_size: int
 
     def __post_init__(self):
-        for name in ("hidden_dim", "intermediate_size", "num_layers", "num_heads",
-                     "max_positions", "vocab_size"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, (int, np.integer)) or value <= 0:
-                raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+                raise ConfigurationError(f"{f.name} must be a positive integer, got {value!r}")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigurationError(
                 f"hidden_dim {self.hidden_dim} is not divisible by num_heads {self.num_heads}")

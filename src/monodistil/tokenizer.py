@@ -50,10 +50,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def special_ids(self) -> frozenset:
-        return frozenset((self.pad_id, self.unk_id, self.cls_id, self.sep_id, self.mask_id))
-
     def serialize(self) -> bytes:
         return ("\n".join(self.tokens) + "\n").encode("utf-8")
 
@@ -244,19 +240,3 @@ def encode_words(words: list[str], vocab: Vocab, max_len: int) -> tuple[EncodedS
     mask[:n_real] = True
     return EncodedSequence(np.asarray(ids, dtype=np.int64), mask), positions
 
-
-def decode(ids, vocab: Vocab) -> str:
-    """Rejoin subwords and drop specials; inverse of encode up to whitespace."""
-    words: list[str] = []
-    for raw in np.asarray(ids).reshape(-1):
-        i = int(raw)
-        if i < 0 or i >= len(vocab):
-            raise VocabularyError(f"token id {i} out of range for vocabulary of size {len(vocab)}")
-        if i in vocab.special_ids:
-            continue
-        tok = vocab.tokens[i]
-        if tok.startswith(CONTINUATION) and words:
-            words[-1] += tok[len(CONTINUATION):]
-        else:
-            words.append(tok)
-    return " ".join(words)

@@ -2,6 +2,7 @@
 
 import configparser
 import dataclasses
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,16 @@ from monodistil.errors import (
 )
 from monodistil.model import init_head, init_random
 from monodistil.tokenizer import SPECIAL_TOKENS, Vocab
+
+
+def _rewrite_payload(path, payload: bytes, table_entry: str = "") -> None:
+    """Replace the payload and record its digest, as a save would have;
+    ``table_entry`` is appended to the tensor table, the manifest's last section."""
+    (path / "weights.bin").write_bytes(payload)
+    lines = [f"payload_sha256 = {hashlib.sha256(payload).hexdigest()}"
+             if ln.startswith("payload_sha256 = ") else ln
+             for ln in (path / "manifest").read_text(encoding="utf-8").splitlines()]
+    (path / "manifest").write_text("\n".join(lines + [table_entry]) + "\n", encoding="utf-8")
 
 
 @pytest.fixture
@@ -56,22 +67,22 @@ class TestRoundTrip:
         manifest.read(saved / "manifest", encoding="utf-8")
         assert {k: int(v) for k, v in manifest["config"].items()} == \
             dataclasses.asdict(tiny_model.config)
+        # the key order is part of the bytes that checkpoint_digest covers
+        assert list(manifest["config"]) == ["hidden_dim", "intermediate_size", "num_layers",
+                                            "num_heads", "max_positions", "vocab_size"]
         assert manifest["meta"]["seed"] == "3"
         assert manifest["meta"]["source"] == "unit-test"
         assert "head" not in manifest
 
     def test_manifest_with_training_keys_still_loads(self, saved, tiny_model, small_vocab):
         # manifests once also stored the dropout rate, the tied-head flag and
-        # the frozen parameter groups, and had no payload digest
+        # the frozen parameter groups
         manifest = saved / "manifest"
         text = manifest.read_text(encoding="utf-8")
-        text = "".join(ln for ln in text.splitlines(keepends=True)
-                       if not ln.startswith("payload_sha256"))
         text = text.replace("[config]\n", "[config]\ndropout_rate = 0.1\ntie_mlm_head = false\n")
         manifest.write_text(text + "[frozen]\ngroups = embeddings\n\n", encoding="utf-8")
         text = manifest.read_text(encoding="utf-8")
         assert "tie_mlm_head = false" in text and "[frozen]" in text
-        assert "payload_sha256" not in text
         loaded = load_checkpoint(saved, small_vocab)
         assert loaded.config == tiny_model.config
         for name in tiny_model.params:
@@ -201,6 +212,15 @@ class TestValidation:
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(saved, small_vocab)
 
+    def test_manifest_without_payload_digest_rejected(self, saved, small_vocab):
+        # the weights of such a checkpoint could not be verified
+        manifest = saved / "manifest"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join(ln for ln in lines if not ln.startswith("payload_sha256"))
+                            + "\n", encoding="utf-8")
+        with pytest.raises(CheckpointCorruptError, match="payload_sha256"):
+            load_checkpoint(saved, small_vocab)
+
     def test_flipped_payload_byte_rejected(self, saved, small_vocab):
         weights = saved / "weights.bin"
         payload = bytearray(weights.read_bytes())
@@ -255,24 +275,16 @@ class TestValidation:
             # their product is the right size, so the tensor would tile
             head = entry["mlm_head_weight"]
             lines[head] = lines[head].replace(" = ", " = -", 1).replace("x", "x-", 1)
-        else:
-            # a manifest written before the payload digest existed
-            lines = [ln for ln in lines if not ln.startswith("payload_sha256")]
-            weights = saved / "weights.bin"
-            weights.write_bytes(weights.read_bytes() + bytes(8))
         manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(CheckpointCorruptError):
+        if edit == "trailing bytes":
+            _rewrite_payload(saved, (saved / "weights.bin").read_bytes() + bytes(8))
+        with pytest.raises(CheckpointCorruptError, match="tensor"):
             load_checkpoint(saved, small_vocab)
 
     def test_manifest_with_an_extra_tensor_still_loads(self, saved, tiny_model, small_vocab):
-        manifest = saved / "manifest"
-        weights = saved / "weights.bin"
-        size = len(weights.read_bytes())
-        weights.write_bytes(weights.read_bytes() + np.ones(6, dtype="<f4").tobytes())
-        lines = [ln for ln in manifest.read_text(encoding="utf-8").splitlines()
-                 if not ln.startswith("payload_sha256")]
-        manifest.write_text("\n".join(lines) + f"\nretired_tensor = 2x3 @ {size}\n",
-                            encoding="utf-8")
+        payload = (saved / "weights.bin").read_bytes()
+        _rewrite_payload(saved, payload + np.ones(6, dtype="<f4").tobytes(),
+                         f"retired_tensor = 2x3 @ {len(payload)}")
         loaded = load_checkpoint(saved, small_vocab)
         for name in tiny_model.params:
             np.testing.assert_array_equal(loaded[name].data, tiny_model[name].data)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from monodistil import harness
+from monodistil import cli, harness
 from monodistil.checkpoint import checkpoint_digest, load_finetuned
 from monodistil.cli import build_parser, main
 from monodistil.data import make_labeled_batches
@@ -408,6 +408,7 @@ class TestExitCodes:
                              "--task-kind", "tagging", "--train"], "DataError"),
             ("config.ini", ["pretrain", "--corpus", corpus, "--vocab", vocab, *ARCH, *TRAIN,
                             "--config"], "ConfigurationError"),
+            ("report.csv", ["report", "--input"], "DataError"),
         ]
         for i, (name, argv, error) in enumerate(cases):
             bad = tmp_path / name
@@ -431,6 +432,30 @@ class TestExitCodes:
             assert rc == 2
             assert capsys.readouterr().err == f"VocabularyError: blank token at id {blank_id}\n"
             assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["run-dir is a file", "synth out is a file",
+                                      "report out is a directory"])
+    def test_path_flag_of_the_wrong_kind_fails_before_any_work(self, tmp_path, capsys,
+                                                                monkeypatch, case):
+        a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+        a_file.write_text("keep me\n", encoding="utf-8")
+        a_dir.mkdir()
+        work = []
+        monkeypatch.setattr(cli, "generate_bundle", lambda *args: work.append(args))
+        monkeypatch.setattr(cli, "parse_report_csv", lambda *args: work.append(args))
+        run = ["--run-dir", str(tmp_path / "r")]
+        argv, flag = {
+            "run-dir is a file": (["synth", "--docs", "5", "--run-dir", str(a_file)], "--run-dir"),
+            "synth out is a file": (["synth", "--docs", "5", "--out", str(a_file), *run], "--out"),
+            "report out is a directory": (["report", "--input", str(a_file),
+                                           "--out", str(a_dir), *run], "--out"),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"UsageError: {flag} ") and len(err.splitlines()) == 1, err
+        assert work == []
+        assert a_file.read_text(encoding="utf-8") == "keep me\n"
+        assert list(a_dir.iterdir()) == []
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
@@ -599,7 +624,7 @@ class TestDownstreamFlow:
         assert "mBERT" in out
         assert "dBERT Init+Freeze" in out
 
-        md_out = tmp_path / "again.md"
+        md_out = tmp_path / "reports" / "again.md"  # a directory that does not exist yet
         rc = main(["report", "--run-dir", str(tmp_path / "run_report"),
                    "--input", str(report_csv), "--format", "markdown",
                    "--out", str(md_out)])

@@ -299,6 +299,18 @@ class TestReportFiles:
         assert parsed.rows == comp.rows
         assert parsed.avg_speedup == pytest.approx(comp.avg_speedup)
 
+    def test_csv_text(self, tmp_path):
+        # the literal format: the banner, one column per ComparisonRow field,
+        # each float as its repr and None as an empty field
+        path = emit_report(self._comparison(), "csv", tmp_path / "report.csv")
+        assert path.read_bytes().split(b"\r\n")[:4] == [
+            b"# baseline=base\nmodel,task,metric_name,metric_value,runtime_seconds,perf_diff,"
+            b"speedup",
+            b"base,t1,accuracy,0.9,10.0,,",
+            b"base,t2,span_f1,0.7,20.0,,",
+            b"small,t1,accuracy,0.85,4.0,-0.050000000000000044,2.5",
+        ]
+
     def test_markdown_has_a_row_per_entry(self, tmp_path):
         comp = self._comparison()
         path = emit_report(comp, "markdown", tmp_path / "report.md")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,18 @@ def test_run_ablations(tmp_path):
     for protocol in ("fraction", "conditioning", "init"):
         assert "| mBERT |" in (work / f"run_{protocol}" / "report.md").read_text(encoding="utf-8")
         assert (work / f"run_{protocol}" / "report.csv").exists()
+
+
+def test_bit_digests_repeat(tmp_path):
+    outputs = [_run_script("bit_digests.py", tmp_path, "--workdir", str(tmp_path / name),
+                           "--docs", "20") for name in ("one", "two")]
+    for result in outputs:
+        assert result.returncode == 0, result.stderr
+    lines = outputs[0].stdout.splitlines()
+    assert lines == outputs[1].stdout.splitlines()
+    names = [line.split()[0] for line in lines]
+    assert "distill/weights.bin" in names and "tag_student/metrics" in names
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{16}", line) for line in lines)
 
 
 def _write_result(root: Path, workload: str, seed: int, metrics: dict, mtime: float,
