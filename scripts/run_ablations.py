@@ -9,6 +9,7 @@ and prints its table to stdout.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from pathlib import Path
 
@@ -29,7 +30,7 @@ def run(argv: list[str]) -> None:
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workdir", default="runs/ablations")
+    parser.add_argument("--workdir", default="runs/ablations", help="wiped first")
     parser.add_argument("--docs", type=int, default=2000,
                         help="documents per language")
     parser.add_argument("--seed", type=int, default=0)
@@ -48,6 +49,7 @@ def main() -> None:
         sys.exit(f"unknown protocol(s): {', '.join(unknown)}")
 
     work = Path(args.workdir)
+    shutil.rmtree(work, ignore_errors=True)
     data = work / "data"
     run(["synth", "--run-dir", str(work / "run_synth"), "--out", str(data),
          "--docs", str(args.docs), "--seed", str(args.seed)])

@@ -10,6 +10,7 @@ so each one leaves a run directory with a manifest and a loss log.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -31,7 +32,7 @@ def run(argv: list[str]) -> None:
 
 def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--workdir", default="runs/pipeline")
+    parser.add_argument("--workdir", default="runs/pipeline", help="wiped first")
     parser.add_argument("--docs", type=int, default=12000,
                         help="documents per language")
     parser.add_argument("--heldout", type=int, default=150)
@@ -48,6 +49,7 @@ def main() -> None:
         args.docs = min(args.docs, 1000)
         args.teacher_epochs = min(args.teacher_epochs, 2)
     work = Path(args.workdir)
+    shutil.rmtree(work, ignore_errors=True)
     data = work / "data"
     started = time.monotonic()
 

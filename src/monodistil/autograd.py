@@ -356,8 +356,9 @@ class Tensor:
     def gelu(self):
         """Gaussian error linear unit, exact erf form: x * Phi(x).
 
-        Phi comes from the A&S 7.1.26 erf in the input dtype; the backward
-        reuses the forward's exp(-x^2/2) for the normal density.
+        Phi comes from the A&S 7.1.26 erf in the input dtype. When the tape
+        records, the forward also forms the derivative Phi(x) + x * phi(x),
+        reusing exp(-x^2/2) for the normal density, and keeps only that.
         """
         a = self
         x = self.data
@@ -368,8 +369,8 @@ class Tensor:
         t *= _ERF_P * _INV_SQRT2
         t += 1.0
         np.reciprocal(t, out=t)
-        # three full-size arrays: t's buffer goes on to hold cdf, and tail's
-        # the output
+        # three full-size arrays: t's buffer goes on to hold cdf, tail's the
+        # output and gauss's the derivative
         tail = np.multiply(t, _ERF_A[4], out=np.empty_like(x))
         for coef in _ERF_A[3::-1]:
             tail += coef
@@ -383,15 +384,15 @@ class Tensor:
         cdf -= tail
         cdf *= 0.5
         out_data = np.multiply(x, cdf, out=tail)
+        if not (_GRAD_ENABLED and a.requires_grad):
+            return Tensor._from_result(out_data, (a,), None)
+        deriv = np.multiply(x, gauss, out=gauss)
+        deriv *= _INV_SQRT2PI
+        deriv += cdf
 
         def back():
             if a.requires_grad:
-                # cdf and gauss stay untouched so a second backward sees them intact
-                d = x * gauss
-                d *= _INV_SQRT2PI
-                d += cdf
-                d *= out.grad
-                a._accumulate(d)
+                a._accumulate(deriv * out.grad)
 
         out = Tensor._from_result(out_data, (a,), back)
         return out
@@ -410,6 +411,25 @@ def constant(data, dtype=None) -> Tensor:
 
 
 # -- binary / structural operations ---------------------------------------
+
+
+_WEIGHT_GRAD_CHUNK = 16
+
+
+def _stacked_weight_gradient(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``np.matmul(a^T, g).sum(axis=0)`` for a 3-D ``a``, bit for bit, without
+    the [batch, in, out] product.
+
+    Unless ``in * out`` is 1, numpy sums axis 0 one slice at a time in batch
+    order, so the products are formed ``_WEIGHT_GRAD_CHUNK`` matrices at a
+    time and added onto the running total in the same order.
+    """
+    at = np.swapaxes(a, -1, -2)
+    total = np.matmul(at[:_WEIGHT_GRAD_CHUNK], g[:_WEIGHT_GRAD_CHUNK]).sum(axis=0)
+    for lo in range(_WEIGHT_GRAD_CHUNK, a.shape[0], _WEIGHT_GRAD_CHUNK):
+        for product in np.matmul(at[lo:lo + _WEIGHT_GRAD_CHUNK], g[lo:lo + _WEIGHT_GRAD_CHUNK]):
+            total += product
+    return total
 
 
 def matmul(a: Tensor, b: Tensor, scale: float | None = None,
@@ -459,9 +479,12 @@ def matmul(a: Tensor, b: Tensor, scale: float | None = None,
         if b.requires_grad:
             if b.ndim == 2 and a.ndim > 2 and a.shape[-2] == 1:
                 # one row per stacked matrix (the CLS query path): the summed
-                # outer products are one GEMM; ROADMAP 2(c) would take every
+                # outer products are one GEMM; ROADMAP 3(c) would take every
                 # stacked weight gradient this way once MLM numerics may move
                 gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            elif b.ndim == 2 and a.ndim == 3 and b.size > 1:
+                # a 1x1 weight is excluded: numpy sums its lone batch axis pairwise
+                gb = _stacked_weight_gradient(a.data, g)
             else:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accumulate(_unbroadcast(gb, b.shape))

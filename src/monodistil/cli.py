@@ -85,9 +85,10 @@ def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=N
     """Create the run directory and record the manifest, with the digest of
     every input, before any work. ``checkpoint_out`` is the ``--out`` a
     training command will save its checkpoint to; one that no checkpoint
-    may replace is refused here, before training. ``seed`` is the seed the
-    run uses where a config file may set it; by default ``--seed``, else 0.
-    ``main`` appends the command's ``[status]`` to this manifest."""
+    may replace is refused here, before training, as is a ``--run-dir``
+    that already holds files. ``seed`` is the seed the run uses where a
+    config file may set it; by default ``--seed``, else 0. ``main``
+    appends the command's ``[status]`` to this manifest."""
     if checkpoint_out is not None and not can_hold_checkpoint(checkpoint_out):
         raise UsageError(f"--out {checkpoint_out} is not a checkpoint directory; "
                          "name a new path or an existing checkpoint")
@@ -100,7 +101,12 @@ def prepare_run(subcommand: str, args, inputs: list, checkpoint_out=None, seed=N
             raise DataError(f"input does not exist: {p}")
         digests[str(p)] = _digest(p)
     if getattr(args, "run_dir", None):
-        run_dir = _make_dir(Path(args.run_dir), "--run-dir")
+        run_dir = Path(args.run_dir)
+        if run_dir.is_dir() and any(run_dir.iterdir()):
+            # an earlier run's outputs would sit beside this run's manifest
+            raise UsageError(f"--run-dir {run_dir} already holds files; "
+                             "name a new or empty directory")
+        _make_dir(run_dir, "--run-dir")
     else:
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
         run_id = f"{stamp}-{_short_hash(subcommand, vars(args), time.time_ns())}"
@@ -158,10 +164,12 @@ def _encoder_config(args, vocab: Vocab) -> EncoderConfig:
                             if f.name != "vocab_size"}, vocab_size=len(vocab))
 
 
-def _require_checkpoint(path) -> Path:
+def _require_checkpoint(path, flag: str) -> Path:
+    """``path`` as a checkpoint directory; ``prepare_run`` has already
+    checked that it exists, so a file is what fails here."""
     p = Path(path)
     if not p.is_dir():
-        raise DataError(f"checkpoint directory does not exist: {p}")
+        raise DataError(f"{flag} {p} is a file, not a checkpoint directory")
     return p
 
 
@@ -207,7 +215,7 @@ def cmd_distill(args) -> int:
     run_dir = prepare_run("distill", args, [args.teacher, args.corpus, args.vocab, args.config],
                           checkpoint_out=args.out, seed=cfg.seed)
     vocab = Vocab.load(args.vocab)
-    teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
+    teacher = load_checkpoint(_require_checkpoint(args.teacher, "--teacher"), vocab)
     corpus = load_corpus(args.corpus)
     student_cfg = _encoder_config(args, vocab)
     student, state = distill_run(teacher, student_cfg, corpus, cfg, vocab,
@@ -220,7 +228,7 @@ def cmd_condition(args) -> int:
     run_dir = prepare_run("condition", args, [args.teacher, args.corpus, args.vocab, args.config],
                           checkpoint_out=args.out, seed=cfg.seed)
     vocab = Vocab.load(args.vocab)
-    teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
+    teacher = load_checkpoint(_require_checkpoint(args.teacher, "--teacher"), vocab)
     corpus = load_corpus(args.corpus)
     conditioned, state = condition_teacher(teacher, corpus, cfg, vocab)
     return _finish_training(run_dir, args, conditioned, state, vocab, "condition")
@@ -240,7 +248,7 @@ def cmd_finetune(args) -> int:
     run_dir = prepare_run("finetune", args, [args.model, args.vocab, args.train, args.eval],
                           checkpoint_out=args.out)
     vocab = Vocab.load(args.vocab)
-    model = load_checkpoint(_require_checkpoint(args.model), vocab)
+    model = load_checkpoint(_require_checkpoint(args.model, "--model"), vocab)
     task = _task_spec(args)
     tuned, head, report = finetune(model, task, vocab, args.model_name)
     out = _checkpoint_out(args, run_dir)
@@ -258,7 +266,7 @@ def cmd_finetune(args) -> int:
 def cmd_evaluate(args) -> int:
     run_dir = prepare_run("evaluate", args, [args.model, args.vocab, args.eval])
     vocab = Vocab.load(args.vocab)
-    model, head = load_finetuned(_require_checkpoint(args.model), vocab)
+    model, head = load_finetuned(_require_checkpoint(args.model, "--model"), vocab)
     seed = _run_seed(args)
     metric_name, value = evaluate_task(model, head, args.eval, vocab, seed=seed,
                                        **_given(max_len=args.max_len))
@@ -291,7 +299,7 @@ def cmd_ablate(args) -> int:
                           [args.teacher, args.corpus, args.vocab, args.train, args.eval,
                            args.config], seed=cfg.seed)
     vocab = Vocab.load(args.vocab)
-    teacher = load_checkpoint(_require_checkpoint(args.teacher), vocab)
+    teacher = load_checkpoint(_require_checkpoint(args.teacher, "--teacher"), vocab)
     corpus = load_corpus(args.corpus)
     student_cfg = _encoder_config(args, vocab)
     # a seed set in --config trains the distilled students and the finetunes alike

@@ -21,7 +21,7 @@ class AdamW:
     The trainable set is fixed at construction: ``params`` keeps the given
     tensors whose ``requires_grad`` is set, in order. Their data become
     views into one flat buffer that the optimizer owns, and the moments, a
-    gradient buffer and two scratch buffers are flat arrays of the same
+    gradient buffer and one scratch buffer are flat arrays of the same
     length, so a step is a few whole-buffer ops that allocate nothing. Each
     op keeps the textbook expression's order, so the update is
     bit-identical to a per-tensor one. ``first_moment`` and
@@ -45,8 +45,8 @@ class AdamW:
         self.learning_rate = learning_rate
         self.step_count = 0
         bounds = np.cumsum([0] + [p.data.size for p in self.params.values()]).tolist()
-        flat = [np.zeros(bounds[-1], dtype=dtype) for _ in range(6)]
-        self._param, self._m, self._v, self._grad, self._s1, self._s2 = flat
+        flat = [np.zeros(bounds[-1], dtype=dtype) for _ in range(5)]
+        self._param, self._m, self._v, self._grad, self._scratch = flat
         self.first_moment: dict[str, np.ndarray] = {}
         self.second_moment: dict[str, np.ndarray] = {}
         for (name, p), lo, hi in zip(self.params.items(), bounds, bounds[1:]):
@@ -64,20 +64,21 @@ class AdamW:
         self.step_count += 1
         bc1 = 1.0 - BETA1 ** self.step_count
         bc2 = 1.0 - BETA2 ** self.step_count
-        w, m, v, g, s1, s2 = self._param, self._m, self._v, self._grad, self._s1, self._s2
+        w, m, v, g, s = self._param, self._m, self._v, self._grad, self._scratch
         np.concatenate([p.grad.reshape(-1) for p in self.params.values()], out=g)
         # m = BETA1*m + (1-BETA1)*g; v = BETA2*v + (1-BETA2)*g*g
         m *= BETA1
-        m += np.multiply(g, 1.0 - BETA1, out=s1)
+        m += np.multiply(g, 1.0 - BETA1, out=s)
         v *= BETA2
-        np.multiply(g, 1.0 - BETA2, out=s1)
-        v += np.multiply(s1, g, out=s1)
-        # w -= lr * ((m / bc1) / (sqrt(v / bc2) + EPSILON)); then w -= lr * WEIGHT_DECAY * w
-        np.divide(m, bc1, out=s1)
-        np.sqrt(np.divide(v, bc2, out=s2), out=s2)
-        s1 /= np.add(s2, EPSILON, out=s2)
-        w -= np.multiply(s1, self.learning_rate, out=s1)
-        w -= np.multiply(w, self.learning_rate * WEIGHT_DECAY, out=s1)
+        np.multiply(g, 1.0 - BETA2, out=s)
+        v += np.multiply(s, g, out=s)
+        # w -= lr * ((m / bc1) / (sqrt(v / bc2) + EPSILON)); then w -= lr * WEIGHT_DECAY * w.
+        # g is spent once v holds it, so its buffer takes the denominator
+        np.divide(m, bc1, out=s)
+        np.sqrt(np.divide(v, bc2, out=g), out=g)
+        s /= np.add(g, EPSILON, out=g)
+        w -= np.multiply(s, self.learning_rate, out=s)
+        w -= np.multiply(w, self.learning_rate * WEIGHT_DECAY, out=s)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

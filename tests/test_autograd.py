@@ -57,13 +57,31 @@ def _weight_gradient(a: np.ndarray, w: np.ndarray, upstream: np.ndarray) -> np.n
 @pytest.mark.parametrize("rows", [2, 3, 7, 32])
 def test_stacked_weight_gradient_with_several_rows_keeps_its_summation(rows):
     """Masked-row MLM blocks have m >= 2 rows: their weight gradient is still
-    the per-matrix product summed over the batch, bit for bit."""
+    the per-matrix product summed over the batch, bit for bit, on either
+    side of the chunk boundaries the backward sums by."""
     rng = _rng(rows)
-    a = rng.standard_normal((8, rows, 64)).astype(np.float32)
-    w = rng.standard_normal((64, 32)).astype(np.float32)
-    g = rng.standard_normal((8, rows, 32)).astype(np.float32)
+    for batch in (1, 7, 8, 9, 16, 17, 32, 33):
+        a = rng.standard_normal((batch, rows, 64)).astype(np.float32)
+        w = rng.standard_normal((64, 32)).astype(np.float32)
+        g = rng.standard_normal((batch, rows, 32)).astype(np.float32)
+        want = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
+        assert np.array_equal(_bits(_weight_gradient(a, w, g)), _bits(want)), f"batch {batch}"
+
+
+@pytest.mark.parametrize("batch, inner, outer", [(33, 64, 32), (40, 1, 1), (33, 1, 5)],
+                         ids=["float64", "1x1", "1x5"])
+def test_stacked_weight_gradient_keeps_its_summation_in_float64_and_odd_shapes(
+        batch, inner, outer):
+    """Criterion 1 runs in float64; a 1x1 weight's batch is summed pairwise."""
+    rng = _rng(batch + inner)
+    a = rng.standard_normal((batch, 3, inner))
+    w = rng.standard_normal((inner, outer))
+    g = rng.standard_normal((batch, 3, outer))
     want = np.matmul(np.swapaxes(a, -1, -2), g).sum(axis=0)
-    np.testing.assert_array_equal(_weight_gradient(a, w, g), want)
+    with precision(np.float64):
+        got = _weight_gradient(a, w, g)
+    assert got.dtype == np.float64
+    np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 @pytest.mark.parametrize("lead, inner, outer", [((16,), 256, 64), ((16,), 64, 256),
@@ -357,6 +375,22 @@ def test_gelu_repeated_backward_accumulates():
 
 def _gelu_five_arrays(x: np.ndarray) -> np.ndarray:
     """The GELU forward as it was written with five full-size arrays."""
+    return x * _gelu_gauss_and_cdf(x)[1]
+
+
+def _gelu_former_gradient(x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """The GELU backward as it was written, from the forward's kept gauss and
+    cdf: ((x * gauss) * (1/sqrt(2 pi)) + cdf) * upstream."""
+    gauss, cdf = _gelu_gauss_and_cdf(x)
+    d = x * gauss
+    d *= autograd._INV_SQRT2PI
+    d += cdf
+    d *= upstream
+    return d
+
+
+def _gelu_gauss_and_cdf(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-x^2/2) and Phi(x) as the five-array GELU forward formed them."""
     gauss = np.square(x)
     gauss *= -0.5
     np.exp(gauss, out=gauss)
@@ -374,7 +408,7 @@ def _gelu_five_arrays(x: np.ndarray) -> np.ndarray:
     cdf += 1.0
     cdf -= tail
     cdf *= 0.5
-    return x * cdf
+    return gauss, cdf
 
 
 def _bits(a: np.ndarray) -> np.ndarray:
@@ -400,6 +434,32 @@ def test_gelu_matches_the_five_array_form_bit_for_bit(shape, dtype):
         x = Tensor(data, requires_grad=True)
         y = x.gelu()
     assert np.array_equal(_bits(y.data), _bits(_gelu_five_arrays(data)))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gelu_gradient_matches_the_former_backward_bit_for_bit(dtype):
+    """The forward keeps Phi(x) + x * phi(x) in place of gauss and cdf; the
+    gradient keeps the former backward's bits, and the no-grad output the
+    grad-mode output's."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    special = np.array([0.0, -0.0, np.nan, 1e4, -1e4, tiny, -tiny, 3 * tiny, -7 * tiny,
+                        np.finfo(dtype).tiny, 1e-30, -1e-30, 5.0, -5.0, 30.0, -30.0],
+                       dtype=dtype)
+    data = np.concatenate([special, _awkward_values((4, 64), dtype, 41).reshape(-1)])
+    upstream = (_rng(42).standard_normal(data.shape) * 3).astype(dtype)
+    upstream[:special.size] = 1.5
+    with precision(dtype):
+        x = Tensor(data, requires_grad=True)
+        y = x.gelu()
+        (y * constant(upstream)).sum().backward()
+        with no_grad():
+            y_inference = Tensor(data, requires_grad=True).gelu()
+        y_frozen = Tensor(data).gelu()
+    assert x.grad.dtype == dtype
+    assert np.array_equal(_bits(x.grad), _bits(_gelu_former_gradient(data, upstream)))
+    assert np.array_equal(_bits(y_inference.data), _bits(y.data))
+    assert np.array_equal(_bits(y_frozen.data), _bits(y.data))
+    assert not y_inference.requires_grad and not y_frozen.requires_grad
 
 
 def _softmax_reduce_max(z: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -433,19 +433,36 @@ class TestExitCodes:
             assert capsys.readouterr().err == f"VocabularyError: blank token at id {blank_id}\n"
             assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["run-dir is a file", "synth out is a file",
-                                      "report out is a directory"])
+    def test_file_where_a_checkpoint_belongs_names_the_flag(self, cli_env, tmp_path, capsys):
+        run = tmp_path / "r"
+        rc = main(["distill", "--run-dir", str(run), "--teacher", cli_env["vocab"],
+                   "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"], *ARCH, *TRAIN])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"DataError: --teacher {cli_env['vocab']} is a file, not a checkpoint directory\n")
+        assert not (run / "checkpoint").exists()
+
+    @pytest.mark.parametrize("case", ["run-dir is a file", "run-dir holds files",
+                                      "synth out is a file", "report out is a directory"])
     def test_path_flag_of_the_wrong_kind_fails_before_any_work(self, tmp_path, capsys,
                                                                 monkeypatch, case):
         a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
         a_file.write_text("keep me\n", encoding="utf-8")
         a_dir.mkdir()
+        # an earlier run's outputs, which a reused --run-dir must leave alone
+        used = tmp_path / "used"
+        (used / "checkpoint").mkdir(parents=True)
+        earlier = {used / "manifest": "[status]\nexit_code = 0\n",
+                   used / "loss_log.csv": "step\n1\n", used / "checkpoint" / "manifest": "x\n"}
+        for path, text in earlier.items():
+            path.write_text(text, encoding="utf-8")
         work = []
         monkeypatch.setattr(cli, "generate_bundle", lambda *args: work.append(args))
         monkeypatch.setattr(cli, "parse_report_csv", lambda *args: work.append(args))
         run = ["--run-dir", str(tmp_path / "r")]
         argv, flag = {
             "run-dir is a file": (["synth", "--docs", "5", "--run-dir", str(a_file)], "--run-dir"),
+            "run-dir holds files": (["synth", "--docs", "5", "--run-dir", str(used)], "--run-dir"),
             "synth out is a file": (["synth", "--docs", "5", "--out", str(a_file), *run], "--out"),
             "report out is a directory": (["report", "--input", str(a_file),
                                            "--out", str(a_dir), *run], "--out"),
@@ -456,6 +473,7 @@ class TestExitCodes:
         assert work == []
         assert a_file.read_text(encoding="utf-8") == "keep me\n"
         assert list(a_dir.iterdir()) == []
+        assert {p: p.read_text(encoding="utf-8") for p in used.rglob("*") if p.is_file()} == earlier
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2
