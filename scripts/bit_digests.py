@@ -10,12 +10,15 @@ The recipe, every command at seed 1 and one BLAS thread:
 * from the set-up teacher on ``corpus_a``: a student (``distill`` for 3
   epochs at batch 8), ``condition`` for 1 epoch, and a copy-freeze
   ``distill`` for 1 epoch as wide as the teacher;
-* the set-up teacher's and the student's finetunes on both tasks.
+* the set-up teacher's and the student's finetunes on both tasks;
+* ``evaluate`` of the finetuned students on both eval files.
 
 Each checkpoint gives its ``weights.bin`` and ``manifest``, each training run
 its ``config.resolved`` and the ``step`` ... ``n_masked`` columns of its
-``loss_log.csv``, and each finetune its ``metrics.csv`` without
-``runtime_seconds``: the outputs that carry no wall-clock time. Run it on two
+``loss_log.csv``, each finetune its ``metrics.csv`` without
+``runtime_seconds``, and each evaluation its ``metrics.csv`` without the
+``model`` and ``task`` columns, which hold the run's paths: the outputs that
+carry no wall-clock time and no path. Run it on two
 source trees and diff the outputs; equal lines mean equal bits:
 
     python scripts/bit_digests.py --src ../parent/src --workdir /tmp/a > parent.txt
@@ -84,7 +87,7 @@ class Recipe:
                           f"{_csv_digest(run_dir / 'loss_log.csv', through_n_masked)}")
         return run_dir / "checkpoint"
 
-    def finetune(self, name: str, model: Path, kind: str, train: str, evaluation: str) -> None:
+    def finetune(self, name: str, model: Path, kind: str, train: str, evaluation: str) -> Path:
         data = self.work / "data"
         run_dir = self.cli(name, "finetune", "--model", str(model),
                            "--vocab", str(data / "vocab.txt"), "--train", str(data / train),
@@ -92,6 +95,14 @@ class Recipe:
         self.checkpoint(name, run_dir / "checkpoint")
         without_runtime = lambda header: [c for c in header if c != "runtime_seconds"]
         self.lines.append(f"{name}/metrics {_csv_digest(run_dir / 'metrics.csv', without_runtime)}")
+        return run_dir / "checkpoint"
+
+    def evaluate(self, name: str, model: Path, evaluation: str) -> None:
+        data = self.work / "data"
+        run_dir = self.cli(name, "evaluate", "--model", str(model),
+                           "--vocab", str(data / "vocab.txt"), "--eval", str(data / evaluation))
+        without_paths = lambda header: [c for c in header if c not in ("model", "task")]
+        self.lines.append(f"{name}/metrics {_csv_digest(run_dir / 'metrics.csv', without_paths)}")
 
 
 def run(src: Path, work: Path, docs: int) -> list[str]:
@@ -111,7 +122,9 @@ def run(src: Path, work: Path, docs: int) -> list[str]:
                  "--init", "copy-freeze", *TEACHER_WIDTH)
     for model_name, model in (("teacher", teacher), ("student", student)):
         for task, kind, train, evaluation in TASKS:
-            recipe.finetune(f"{task}_{model_name}", model, kind, train, evaluation)
+            tuned = recipe.finetune(f"{task}_{model_name}", model, kind, train, evaluation)
+            if model_name == "student":
+                recipe.evaluate(f"{task}_{model_name}_evaluate", tuned, evaluation)
     return recipe.lines
 
 

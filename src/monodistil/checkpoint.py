@@ -5,9 +5,10 @@ vocabulary the model was trained with and of the weights payload, and a tensor
 table (name, shape, byte offset into weights.bin). Weights are little-endian
 float32, concatenated in table order. No wall-clock data is written so
 identical runs produce byte-identical checkpoints. A finetuned checkpoint's
-``[head]`` names the head kind and its labels in id order, as a JSON list;
-the manifest is read and written without interpolation, so any name
-round-trips.
+``[head]`` names the head's task kind, spelled ``sequence`` for
+classification and ``token`` for tagging, and its labels in id order, as a
+JSON list; the manifest is read and written without interpolation, so any
+name round-trips.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .errors import (CheckpointCorruptError, CheckpointError, CheckpointShapeError,
-                     ConfigurationError, VocabMismatchError)
+                     VocabMismatchError)
 from .model import EncoderConfig, EncoderModel, Head, parameter_shapes
 from .tokenizer import Vocab
 
@@ -34,6 +35,8 @@ WEIGHTS_NAME = "weights.bin"
 FORMAT_VERSION = "1"
 
 _CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(EncoderConfig))
+# a head's task kind as ``[head] kind`` spells it, on save and on load
+_HEAD_KIND_ON_DISK = {"classification": "sequence", "tagging": "token"}
 
 
 def _format_shape(shape: tuple[int, ...]) -> str:
@@ -59,7 +62,7 @@ def _serialize(model: EncoderModel, vocab_hash: str, seed: int, source: str,
     entries: list[tuple[str, np.ndarray]] = [(n, model.params[n].data)
                                              for n in parameter_shapes(cfg)]
     if head is not None:
-        parser["head"] = {"kind": head.kind,
+        parser["head"] = {"kind": _HEAD_KIND_ON_DISK[head.kind],
                           "labels": json.dumps(list(head.labels), ensure_ascii=False)}
         entries.append(("head_weight", head.weight.data))
         entries.append(("head_bias", head.bias.data))
@@ -208,7 +211,9 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
     if missing:
         raise CheckpointShapeError(f"checkpoint lacks tensors: {missing}")
     if "head" in parser:
-        kind = parser["head"].get("kind", "")
+        kind = {v: k for k, v in _HEAD_KIND_ON_DISK.items()}.get(parser["head"].get("kind"))
+        if kind is None:
+            raise CheckpointCorruptError(f"[head] kind under {path} is not sequence or token")
         try:
             labels = json.loads(parser["head"]["labels"])
         except (KeyError, ValueError) as exc:
@@ -238,11 +243,7 @@ def _load_parts(path, vocab: Vocab) -> tuple[EncoderModel, Head | None]:
             raise CheckpointShapeError(
                 f"head tensors {hw.shape}/{hb.shape} do not fit a {num_labels}-label head "
                 f"over hidden size {config.hidden_dim}")
-        try:
-            head = Head(kind, labels, Tensor(hw, requires_grad=True),
-                        Tensor(hb, requires_grad=True))
-        except ConfigurationError as exc:
-            raise CheckpointCorruptError(f"[head] under {path}: {exc}") from exc
+        head = Head(kind, labels, Tensor(hw, requires_grad=True), Tensor(hb, requires_grad=True))
     return model, head
 
 

@@ -23,14 +23,14 @@ from pathlib import Path
 
 from .checkpoint import (MANIFEST_NAME, can_hold_checkpoint, checkpoint_digest,
                          load_checkpoint, load_finetuned, save_checkpoint)
-from .data import load_corpus
+from .data import TASK_KINDS, label_sidecar, load_corpus
 from .distill import (MLM_ONLY_WEIGHTS, DistillConfig, TrainState, condition_teacher,
                       distill_run, load_distill_config, pretrain_mlm, write_loss_log,
                       write_resolved_config)
 from .errors import ConfigurationError, DataError, UsageError, VocabularyError
-from .harness import (HEAD_KINDS, TaskSpec, emit_report, evaluate_task, finetune,
-                      parse_report_csv, run_ablation_conditioning,
-                      run_ablation_data_fraction, run_ablation_init)
+from .harness import (TaskSpec, emit_report, evaluate_task, finetune, parse_report_csv,
+                      run_ablation_conditioning, run_ablation_data_fraction,
+                      run_ablation_init)
 from .model import EncoderConfig
 from .synth import SynthConfig, generate_bundle, write_bundle
 from .tokenizer import Vocab, train_vocab
@@ -245,7 +245,8 @@ def _write_metrics(run_dir: Path, row: tuple) -> Path:
 
 
 def cmd_finetune(args) -> int:
-    run_dir = prepare_run("finetune", args, [args.model, args.vocab, args.train, args.eval],
+    run_dir = prepare_run("finetune", args, [args.model, args.vocab, args.train,
+                                             label_sidecar(args.train), args.eval],
                           checkpoint_out=args.out)
     vocab = Vocab.load(args.vocab)
     model = load_checkpoint(_require_checkpoint(args.model, "--model"), vocab)
@@ -296,8 +297,8 @@ def cmd_ablate(args) -> int:
     fractions = _parse_fractions(args.fractions)
     cfg = _resolve_distill_config(args)
     run_dir = prepare_run("ablate", args,
-                          [args.teacher, args.corpus, args.vocab, args.train, args.eval,
-                           args.config], seed=cfg.seed)
+                          [args.teacher, args.corpus, args.vocab, args.train,
+                           label_sidecar(args.train), args.eval, args.config], seed=cfg.seed)
     vocab = Vocab.load(args.vocab)
     teacher = load_checkpoint(_require_checkpoint(args.teacher, "--teacher"), vocab)
     corpus = load_corpus(args.corpus)
@@ -362,7 +363,7 @@ def _add_arch_flags(p: argparse.ArgumentParser, hidden: int, intermediate: int,
 def _add_task_flags(p: argparse.ArgumentParser):
     p.add_argument("--train", required=True)
     p.add_argument("--eval", required=True)
-    p.add_argument("--task-kind", choices=tuple(HEAD_KINDS), required=True)
+    p.add_argument("--task-kind", choices=TASK_KINDS, required=True)
     p.add_argument("--task-name", default="task")
     p.add_argument("--ft-epochs", type=int, default=None)
     p.add_argument("--ft-lr", type=float, default=None)

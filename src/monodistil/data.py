@@ -18,6 +18,9 @@ from .tokenizer import SPECIAL_TOKENS, EncodedSequence, Vocab, encode, encode_wo
 
 IGNORE_ID = -100
 
+# what a task labels: each sequence, at its [CLS] position, or each word
+TASK_KINDS = ("classification", "tagging")
+
 FIRST_CONTENT_ID = len(SPECIAL_TOKENS)
 
 
@@ -103,13 +106,21 @@ class LabeledBatch:
     ``token_ids`` and ``attention_mask`` are [batch, width]; tagging
     ``labels`` are [batch, width] too, classification labels [batch].
     ``width`` is the batch's longest row, at most the ``max_len`` the batch
-    was built with (see ``make_labeled_batches``).
+    was built with (see ``make_labeled_batches``). The label count is the
+    task head's.
     """
 
     token_ids: np.ndarray
     attention_mask: np.ndarray
     labels: np.ndarray
-    num_labels: int
+
+
+def label_sidecar(path) -> Path | None:
+    """The ``<stem>.labels`` file beside a task file, which fixes its label
+    ids, or None when there is none. An eval file's is never read: its
+    labels take the training file's ids."""
+    sidecar = Path(path).with_suffix(".labels")
+    return sidecar if sidecar.exists() else None
 
 
 def read_label_file(path) -> dict[str, int]:
@@ -180,11 +191,11 @@ def make_labeled_batches(path, vocab: Vocab, max_len: int, batch_size: int,
     """Load a supervised file of ``kind`` "classification" or "tagging" and
     shard it into shuffled fixed-size batches.
 
-    Classification files are TSV with a header; a sidecar ``<stem>.labels``
-    file (one label per line, line number = id) fixes the id mapping when
-    present. Tagging files hold ``token tag`` lines with blank-line
-    sentence breaks; a word's tag attaches to its first subword and all
-    continuations get IGNORE_ID. Pass ``label_map`` to reuse a training
+    Classification files are TSV with a header; each text's label sits at
+    its [CLS] position. Tagging files hold ``token tag`` lines with
+    blank-line sentence breaks; a word's tag attaches to its first subword
+    and all continuations get IGNORE_ID. A ``label_sidecar`` file fixes the
+    id mapping when present; pass ``label_map`` instead to reuse a training
     inventory at eval time.
 
     Each batch is cut to its longest row: the columns after the last one
@@ -197,56 +208,44 @@ def make_labeled_batches(path, vocab: Vocab, max_len: int, batch_size: int,
     """
     if batch_size < 1:
         raise ConfigurationError(f"batch_size must be positive, got {batch_size}")
-    if kind not in ("classification", "tagging"):
+    if kind not in TASK_KINDS:
         raise ConfigurationError(f"kind must be 'classification' or 'tagging', got {kind!r}")
 
-    if label_map is None:
-        sidecar = Path(path).with_suffix(".labels")
-        if sidecar.exists():
-            label_map = read_label_file(sidecar)
-
+    if label_map is None and (sidecar := label_sidecar(path)) is not None:
+        label_map = read_label_file(sidecar)
+    # each record: its encoded sequence, its label positions, and their tags
     if kind == "classification":
-        texts, raw = _read_tsv(path)
-        if label_map is None:
-            label_map = {lab: i for i, lab in enumerate(sorted(set(raw)))}
-        for idx, lab in enumerate(raw):
-            if lab not in label_map:
-                raise DataError(f"record {idx}: label {lab!r} not in declared label set")
-        n = len(texts)
-        ids = np.zeros((n, max_len), dtype=np.int64)
-        att = np.zeros((n, max_len), dtype=bool)
-        labels = np.zeros(n, dtype=np.int64)
-        for i, (text, lab) in enumerate(zip(texts, raw)):
-            seq = encode(text, vocab, max_len)
-            ids[i], att[i] = seq.token_ids, seq.attention_mask
-            labels[i] = label_map[lab]
+        texts, tags = _read_tsv(path)
+        records = [(encode(text, vocab, max_len), [0]) for text in texts]
+        tags = [[tag] for tag in tags]
     else:
-        sentences, tag_rows = _read_conll(path)
-        if label_map is None:
-            label_map = {lab: i for i, lab in enumerate(sorted({t for row in tag_rows for t in row}))}
-        for idx, row in enumerate(tag_rows):
-            for tag in row:
-                if tag not in label_map:
-                    raise DataError(f"record {idx}: label {tag!r} not in declared label set")
-        n = len(sentences)
-        ids = np.zeros((n, max_len), dtype=np.int64)
-        att = np.zeros((n, max_len), dtype=bool)
-        labels = np.full((n, max_len), IGNORE_ID, dtype=np.int64)
-        for i, (words, row_tags) in enumerate(zip(sentences, tag_rows)):
-            seq, positions = encode_words(words, vocab, max_len)
-            ids[i], att[i] = seq.token_ids, seq.attention_mask
-            for pos, tag in zip(positions, row_tags):
-                if pos is not None:
-                    labels[i, pos] = label_map[tag]
+        sentences, tags = _read_conll(path)
+        records = [encode_words(words, vocab, max_len) for words in sentences]
+    if label_map is None:
+        label_map = {lab: i for i, lab in enumerate(sorted({t for row in tags for t in row}))}
+    for idx, row in enumerate(tags):
+        for tag in row:
+            if tag not in label_map:
+                raise DataError(f"record {idx}: label {tag!r} not in declared label set")
+
+    n = len(records)
+    ids = np.zeros((n, max_len), dtype=np.int64)
+    att = np.zeros((n, max_len), dtype=bool)
+    labels = np.full((n, max_len), IGNORE_ID, dtype=np.int64)
+    for i, ((seq, positions), row_tags) in enumerate(zip(records, tags)):
+        ids[i], att[i] = seq.token_ids, seq.attention_mask
+        for pos, tag in zip(positions, row_tags):
+            if pos is not None:
+                labels[i, pos] = label_map[tag]
+    if kind == "classification":
+        labels = labels[:, 0]
 
     rng = np.random.Generator(np.random.PCG64(seed))
     order = rng.permutation(n)
     batches = []
-    num_labels = len(label_map)
     for start in range(0, n, batch_size):
         take = order[start:start + batch_size]
         width = int(np.flatnonzero(att[take].any(axis=0))[-1]) + 1
         batch_labels = labels[take, :width] if labels.ndim == 2 else labels[take]
-        batches.append(LabeledBatch(ids[take, :width], att[take, :width], batch_labels,
-                                    num_labels))
+        batches.append(LabeledBatch(ids[take, :width], att[take, :width], batch_labels))
     return batches, label_map

@@ -326,6 +326,11 @@ def load_distill_config(path, overrides: dict | None = None,
         raise ConfigurationError(f"unreadable config file {path}: {exc}") from exc
     if "distill" not in parser:
         raise ConfigurationError(f"config file needs a [distill] section: {path}")
+    # a setting under any other section would otherwise be silently ignored
+    others = [f"[{name}]" for name in parser.sections() if name != "distill"]
+    if others:
+        raise ConfigurationError(f"config file {path} may hold only a [distill] section, "
+                                 f"not {', '.join(others)}")
     # configparser lowercases option names; match field names case-blind
     known = {f.name.lower(): f for f in dataclasses.fields(DistillConfig)}
     values: dict = {}

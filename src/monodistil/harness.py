@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses
 from .autograd import no_grad, parameters_finite
-from .data import IGNORE_ID, make_labeled_batches, subsample
+from .data import IGNORE_ID, TASK_KINDS, make_labeled_batches, subsample
 from .distill import (DistillConfig, check_embedding_copy, check_training_settings,
                       condition_teacher, distill_run)
 from .errors import ConfigurationError, EvaluationError, TrainingDivergedError, read_text
@@ -32,8 +32,6 @@ BASELINE_NAME = "mBERT"
 STUDENT_NAME = "dBERT"
 # finetuning's dropout rate; the MLM stages train without dropout
 FINETUNE_DROPOUT = 0.1
-# the head kind that serves each task kind
-HEAD_KINDS = {"classification": "sequence", "tagging": "token"}
 
 
 @dataclass(frozen=True)
@@ -49,7 +47,7 @@ class TaskSpec:
     max_len: int = 32
 
     def __post_init__(self):
-        if self.kind not in HEAD_KINDS:
+        if self.kind not in TASK_KINDS:
             raise ConfigurationError(
                 f"task kind must be 'classification' or 'tagging', got {self.kind!r}")
         check_training_settings(self)
@@ -106,40 +104,37 @@ class ComparisonReport:
         return {model: float(np.mean(r)) for model, r in ratios.items()}
 
 
+def _task_logits(model, head, batch, dropout=None):
+    """The head's logits on ``batch``: [batch, labels] read at [CLS] for a
+    classification head, [batch, width, labels] for a tagging head."""
+    # looked up at each call, so a rebound module attribute is the one called
+    forward = forward_sequence_cls if head.kind == "classification" else forward_token_cls
+    return forward(model, head, batch.token_ids, batch.attention_mask, dropout)
+
+
 def _finetune_loss(model, head, batch, dropout):
-    if head.kind == "sequence":
-        logits = forward_sequence_cls(model, head, batch.token_ids, batch.attention_mask,
-                                      batch.num_labels, dropout)
+    logits = _task_logits(model, head, batch, dropout)
+    if head.kind == "classification":
         return losses.cross_entropy(logits, batch.labels)
-    logits = forward_token_cls(model, head, batch.token_ids, batch.attention_mask,
-                               batch.num_labels, dropout)
     return losses.cross_entropy_masked(logits, batch.labels, batch.labels != IGNORE_ID)
 
 
 def _evaluate_task(model: EncoderModel, head: Head, eval_batches) -> tuple[str, float]:
-    if head.kind == "sequence":
-        preds, golds = [], []
-        for batch in eval_batches:
-            with no_grad():
-                logits = forward_sequence_cls(model, head, batch.token_ids,
-                                              batch.attention_mask, batch.num_labels)
-            preds.append(logits.data.argmax(axis=-1))
-            golds.append(batch.labels)
+    with no_grad():
+        preds = [_task_logits(model, head, batch).data.argmax(axis=-1) for batch in eval_batches]
+    if head.kind == "classification":
+        golds = [batch.labels for batch in eval_batches]
         return "accuracy", accuracy(np.concatenate(preds), np.concatenate(golds))
 
     pred_tags: list[list[str]] = []
     gold_tags: list[list[str]] = []
-    for batch in eval_batches:
-        with no_grad():
-            logits = forward_token_cls(model, head, batch.token_ids,
-                                       batch.attention_mask, batch.num_labels)
-        hard = logits.data.argmax(axis=-1)
-        for row in range(batch.labels.shape[0]):
-            keep = batch.labels[row] != IGNORE_ID
+    for batch, hard in zip(eval_batches, preds):
+        for gold, pred in zip(batch.labels, hard):
+            keep = gold != IGNORE_ID
             if not keep.any():
                 continue
-            gold_tags.append([head.labels[int(t)] for t in batch.labels[row][keep]])
-            pred_tags.append([head.labels[int(t)] for t in hard[row][keep]])
+            gold_tags.append([head.labels[int(t)] for t in gold[keep]])
+            pred_tags.append([head.labels[int(t)] for t in pred[keep]])
     return "span_f1", span_f1(pred_tags, gold_tags)
 
 
@@ -151,9 +146,8 @@ def evaluate_task(model: EncoderModel, head: Head, eval_path, vocab: Vocab,
         raise ConfigurationError(f"seed must be non-negative, got {seed}")
     model_vocab_guard(model, vocab)
     check_max_len(model, max_len)
-    kind = {head_kind: task for task, head_kind in HEAD_KINDS.items()}[head.kind]
     eval_batches, _ = make_labeled_batches(
-        eval_path, vocab, max_len, batch_size=16, seed=seed, kind=kind,
+        eval_path, vocab, max_len, batch_size=16, seed=seed, kind=head.kind,
         label_map={label: i for i, label in enumerate(head.labels)})
     return _evaluate_task(model, head, eval_batches)
 
@@ -175,7 +169,7 @@ def finetune(model: EncoderModel, task: TaskSpec, vocab: Vocab,
         kind=task.kind, label_map=label_map)
 
     tuned = clone_model(model)
-    head = init_head(tuned.config, HEAD_KINDS[task.kind], tuple(label_map), task.seed)
+    head = init_head(tuned.config, task.kind, tuple(label_map), task.seed)
     # the masked-LM head takes no part in downstream tasks
     params = {k: v for k, v in tuned.params.items()
               if k not in ("mlm_head_weight", "mlm_head_bias")}
@@ -244,7 +238,7 @@ def emit_report(report: ComparisonReport, fmt: str, path) -> Path:
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(f"# baseline={report.baseline}\n")
-            writer = csv.writer(fh)
+            writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             # csv writes a float as str, which is its repr, and None as ""
             writer.writerows(astuple(row) for row in report.rows)

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .data import TASK_KINDS
 from .errors import ConfigurationError, DimensionError
 from .tokenizer import Vocab
 
@@ -245,16 +246,18 @@ def _masked_slots(rows, shape: tuple) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Head:
-    """Single linear task head over encoder output positions."""
+    """Single linear task head over encoder output positions: read at [CLS]
+    for a classification task, at every position for a tagging task."""
 
-    kind: str
+    kind: str                 # the task kind, one of data.TASK_KINDS
     labels: tuple[str, ...]   # label names in id order
     weight: Tensor
     bias: Tensor
 
     def __post_init__(self):
-        if self.kind not in ("sequence", "token"):
-            raise ConfigurationError(f"head kind must be 'sequence' or 'token', got {self.kind!r}")
+        if self.kind not in TASK_KINDS:
+            raise ConfigurationError(
+                f"head kind must be 'classification' or 'tagging', got {self.kind!r}")
 
     @property
     def num_labels(self) -> int:
@@ -275,16 +278,8 @@ def init_head(config: EncoderConfig, kind: str, labels: tuple[str, ...], seed: i
     return Head(kind, labels, weight, bias)
 
 
-def _check_head(head: Head, kind: str, num_labels: int):
-    if head.kind != kind:
-        raise ConfigurationError(f"head kind {head.kind!r} cannot serve a {kind} task")
-    if head.num_labels != num_labels:
-        raise ConfigurationError(
-            f"head has {head.num_labels} labels but the batch declares {num_labels}")
-
-
 def forward_sequence_cls(model: EncoderModel, head: Head, token_ids, attention_mask,
-                         num_labels: int | None = None, dropout=None) -> Tensor:
+                         dropout=None) -> Tensor:
     """Class logits [batch, classes] read off the first (CLS) position.
 
     The loss reads only position 0, so the last encoder layer computes that
@@ -293,8 +288,6 @@ def forward_sequence_cls(model: EncoderModel, head: Head, token_ids, attention_m
     roundoff, not bit for bit: one query row makes matrix-vector products.
     Token tagging keeps the full path.
     """
-    if num_labels is not None:
-        _check_head(head, "sequence", num_labels)
     batch = np.shape(token_ids)[0]
     h = encode_hidden(model, token_ids, attention_mask, dropout,
                       positions=np.zeros((batch, 1), dtype=np.int64))
@@ -303,10 +296,8 @@ def forward_sequence_cls(model: EncoderModel, head: Head, token_ids, attention_m
 
 
 def forward_token_cls(model: EncoderModel, head: Head, token_ids, attention_mask,
-                      num_labels: int | None = None, dropout=None) -> Tensor:
+                      dropout=None) -> Tensor:
     """Tag logits [batch, seq, tags] over every position."""
-    if num_labels is not None:
-        _check_head(head, "token", num_labels)
     h = encode_hidden(model, token_ids, attention_mask, dropout)
     return ag.matmul(h, head.weight, bias=head.bias)
 

@@ -140,22 +140,42 @@ class TestRoundTrip:
 
 class TestHeadRoundTrip:
     def test_finetuned_round_trip(self, tmp_path, tiny_model, tiny_cfg, small_vocab):
-        head = init_head(tiny_cfg, "sequence", ("neg", "pos"), seed=5)
+        head = init_head(tiny_cfg, "classification", ("neg", "pos"), seed=5)
         path = tmp_path / "tuned"
         save_checkpoint(tiny_model, path, small_vocab, head=head)
         model, loaded_head = load_finetuned(path, small_vocab)
-        assert loaded_head.kind == "sequence"
+        assert loaded_head.kind == "classification"
         assert loaded_head.labels == ("neg", "pos")
         assert loaded_head.num_labels == 2
         np.testing.assert_array_equal(loaded_head.weight.data, head.weight.data)
         np.testing.assert_array_equal(loaded_head.bias.data, head.bias.data)
+
+    # manifest sha256s of these saves as written before heads took their
+    # task's kind name, when ``[head] kind`` was the head's own name
+    @pytest.mark.parametrize("kind,on_disk,earlier_sha256", [
+        ("classification", "sequence",
+         "31fb3b3b7f9a056b3a953f67f775e62de05b23568dfebce83f541f45aa43be20"),
+        ("tagging", "token",
+         "6b0873297b339f56e8eb8d1f08686cfd7209eb58bd94ba207d420a53ebeb1a69"),
+    ])
+    def test_head_kind_keeps_its_manifest_spelling(self, tmp_path, tiny_model, tiny_cfg,
+                                                   small_vocab, kind, on_disk, earlier_sha256):
+        path = tmp_path / "tuned"
+        save_checkpoint(tiny_model, path, small_vocab,
+                        head=init_head(tiny_cfg, kind, ("B-ENT", "O"), seed=5))
+        manifest = (path / "manifest").read_bytes()
+        assert f"[head]\nkind = {on_disk}\n".encode() in manifest
+        # the earlier bytes, so an earlier manifest loads as this kind
+        assert hashlib.sha256(manifest).hexdigest() == earlier_sha256
+        _, head = load_finetuned(path, small_vocab)
+        assert head.kind == kind and head.labels == ("B-ENT", "O")
 
     def test_label_names_round_trip(self, tmp_path, tiny_model, tiny_cfg, small_vocab):
         # names a TSV label column can hold: configparser's % interpolation,
         # commas, spaces, and non-ASCII text must all come back unchanged
         labels = ("50%", "a,b", "x y", "ñ")
         path = tmp_path / "tuned"
-        save_checkpoint(tiny_model, path, small_vocab, head=init_head(tiny_cfg, "token", labels, 0))
+        save_checkpoint(tiny_model, path, small_vocab, head=init_head(tiny_cfg, "tagging", labels, 0))
         _, loaded_head = load_finetuned(path, small_vocab)
         assert loaded_head.labels == labels
 
@@ -164,7 +184,7 @@ class TestHeadRoundTrip:
         # earlier builds stored only num_labels; such a head cannot name its ids
         path = tmp_path / "tuned"
         save_checkpoint(tiny_model, path, small_vocab,
-                        head=init_head(tiny_cfg, "sequence", ("neg", "pos"), seed=5))
+                        head=init_head(tiny_cfg, "classification", ("neg", "pos"), seed=5))
         manifest = path / "manifest"
         lines = manifest.read_text(encoding="utf-8").splitlines()
         manifest.write_text("\n".join("num_labels = 2" if ln.startswith("labels = ") else ln
@@ -177,7 +197,7 @@ class TestHeadRoundTrip:
                                                small_vocab, edit):
         path = tmp_path / "tuned"
         save_checkpoint(tiny_model, path, small_vocab,
-                        head=init_head(tiny_cfg, "sequence", ("neg", "pos"), seed=5))
+                        head=init_head(tiny_cfg, "classification", ("neg", "pos"), seed=5))
         manifest = path / "manifest"
         lines = manifest.read_text(encoding="utf-8").splitlines()
         if edit == "nonsense kind":
@@ -193,7 +213,7 @@ class TestHeadRoundTrip:
             load_finetuned(saved, small_vocab)
 
     def test_plain_load_ignores_head(self, tmp_path, tiny_model, tiny_cfg, small_vocab):
-        head = init_head(tiny_cfg, "token", ("B-ENT", "I-ENT", "O"), seed=1)
+        head = init_head(tiny_cfg, "tagging", ("B-ENT", "I-ENT", "O"), seed=1)
         path = tmp_path / "tuned"
         save_checkpoint(tiny_model, path, small_vocab, head=head)
         model = load_checkpoint(path, small_vocab)

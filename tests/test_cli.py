@@ -493,6 +493,21 @@ class TestConfigPrecedence:
         assert resolved.epochs == 1
         assert resolved.batch_size == 4
 
+    def test_config_section_beside_distill_fails_before_any_work(self, cli_env, tmp_path,
+                                                                  capsys):
+        cfg_file = tmp_path / "c.ini"
+        cfg_file.write_text("[distill]\nepochs = 1\n[finetune]\nepochs = 10\n",
+                            encoding="utf-8")
+        run, out = tmp_path / "r", tmp_path / "ckpt"
+        rc = main(["pretrain", "--run-dir", str(run), "--config", str(cfg_file),
+                   "--corpus", cli_env["corpus_a"], "--vocab", cli_env["vocab"], *ARCH,
+                   "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigurationError:") and str(cfg_file) in err, err
+        assert err.rstrip().endswith("not [finetune]")
+        assert not run.exists() and not out.exists()
+
     @pytest.mark.parametrize("line", ["alpha_mlm = 0.3", "alpha_kl = 0.5"])
     @pytest.mark.parametrize("command", ["pretrain", "condition"])
     def test_mlm_only_commands_reject_other_loss_weights(self, cli_env, tmp_path, capsys,
@@ -579,8 +594,12 @@ class TestDownstreamFlow:
                    "--model-name", "dBERT", "--out", str(tuned)])
         assert rc == 0
         assert (tmp_path / "run_ft" / "metrics.csv").exists()
-        assert _manifest_section(tmp_path / "run_ft", "inputs")[student_ckpt] == \
-            checkpoint_digest(student_ckpt)
+        # the training file's label sidecar fixes the head's label ids
+        assert _manifest_section(tmp_path / "run_ft", "inputs") == {
+            student_ckpt: checkpoint_digest(student_ckpt),
+            **_file_digests(cli_env["vocab"], cli_env["cls_train"],
+                            Path(cli_env["cls_train"]).with_suffix(".labels"),
+                            cli_env["cls_eval"])}
         assert _manifest_section(tmp_path / "run_ft", "outputs") == \
             {str(tuned): checkpoint_digest(tuned),
              **_file_digests(tmp_path / "run_ft" / "metrics.csv")}
@@ -638,6 +657,9 @@ class TestDownstreamFlow:
         assert len(data_rows) == 4
         assert _manifest_section(run, "outputs") == \
             _file_digests(run / "config.resolved", report_csv, run / "report.md")
+        sidecar = Path(cli_env["cls_train"]).with_suffix(".labels")
+        assert _manifest_section(run, "inputs")[str(sidecar)] == \
+            _file_digests(sidecar)[str(sidecar)]
         out = capsys.readouterr().out
         assert "mBERT" in out
         assert "dBERT Init+Freeze" in out
@@ -674,6 +696,9 @@ class TestDownstreamFlow:
                      "--eval", cli_env["tag_eval"], "--task-kind", "tagging", "--max-len", "16",
                      "--ft-epochs", "1", "--out", str(tuned)]) == 0
         capsys.readouterr()
+        # a tagging file has no label sidecar to list
+        assert list(_manifest_section(tmp_path / "run_ft", "inputs")) == \
+            [student_ckpt, cli_env["vocab"], cli_env["tag_train"], cli_env["tag_eval"]]
         rc = main(["evaluate", "--run-dir", str(tmp_path / "run_eval"), "--model", str(tuned),
                    "--vocab", cli_env["vocab"], "--eval", str(subset), "--max-len", "16"])
         assert rc == 0, capsys.readouterr().err

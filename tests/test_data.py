@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from monodistil.data import (
     IGNORE_ID,
+    label_sidecar,
     load_corpus,
     make_labeled_batches,
     make_mlm_batch,
@@ -199,13 +200,17 @@ class TestLabeledBatches:
         assert label_map == {"neg": 0, "pos": 1}
         assert [b.token_ids.shape[0] for b in batches] == [2, 2, 1]
         assert all(b.labels.ndim == 1 for b in batches)
-        assert all(b.num_labels == 2 for b in batches)
 
     def test_sidecar_fixes_label_ids(self, cls_file, word_vocab):
         (cls_file.parent / "toy.labels").write_text("pos\nneg\n", encoding="utf-8")
         _, label_map = make_labeled_batches(
             cls_file, word_vocab, max_len=8, batch_size=2, seed=0, kind="classification")
         assert label_map == {"pos": 0, "neg": 1}
+
+    def test_label_sidecar_is_the_stem_labels_file_when_present(self, cls_file):
+        assert label_sidecar(cls_file) is None
+        (cls_file.parent / "toy.labels").write_text("pos\nneg\n", encoding="utf-8")
+        assert label_sidecar(cls_file) == cls_file.parent / "toy.labels"
 
     def test_unknown_label_names_record(self, cls_file, word_vocab):
         (cls_file.parent / "toy.labels").write_text("pos\n", encoding="utf-8")
@@ -320,3 +325,56 @@ class TestLabeledBatches:
         with pytest.raises(ConfigurationError):
             make_labeled_batches(cls_file, word_vocab, max_len=8, batch_size=0, seed=0,
                                  kind="classification")
+
+
+# Batches recorded from make_labeled_batches when classification and tagging
+# each had their own branch: (kind, file, label names in sidecar order,
+# token ids per batch, labels per batch with the sidecar); with an explicit
+# label_map the ids are reversed.
+_PINNED_BATCHES = (
+    ("classification", "toy.tsv", ("pos", "neg", "mid"),
+     [[[2, 8, 5, 6, 3, 0], [2, 5, 6, 7, 10, 3]], [[2, 9, 3], [2, 10, 3]], [[2, 7, 8, 3]]],
+     [[0, 2], [1, 1], [0]]),
+    ("tagging", "toy.conll", ("O", "I-ENT", "B-ENT"),
+     [[[2, 7, 3, 0, 0, 0], [2, 8, 5, 6, 10, 3]], [[2, 9, 3, 0], [2, 10, 9, 3]],
+      [[2, 5, 6, 7, 3]]],
+     [[[-100, 0, -100, -100, -100, -100], [-100, 2, 1, -100, 0, -100]],
+      [[-100, 0, -100, -100], [-100, 0, 2, -100]], [[-100, 2, -100, 0, -100]]]),
+)
+
+
+@pytest.mark.parametrize("source", ["sidecar", "label_map"])
+@pytest.mark.parametrize("kind,name,names,ids,labels", _PINNED_BATCHES,
+                         ids=[case[0] for case in _PINNED_BATCHES])
+def test_labeled_batches_match_the_recorded_arrays(tmp_path, kind, name, names, ids, labels,
+                                                   source):
+    vocab = _plain_vocab(["a", "##b", "ka", "mina", "soto", "pi"])
+    rows = [("ka mina", "pos"), ("soto", "neg"), ("ab ka pi soto mina ka", "mid"),
+            ("pi", "neg"), ("mina ab", "pos")]
+    (tmp_path / "toy.tsv").write_text(
+        "text\tlabel\n" + "".join(f"{t}\t{l}\n" for t, l in rows), encoding="utf-8")
+    # the third sentence and the first text are cut at max_len 6
+    (tmp_path / "toy.conll").write_text(
+        "ab B-ENT\nka O\n\nsoto O\n\nmina B-ENT\nab I-ENT\npi O\nka O\n\n"
+        "pi O\nsoto B-ENT\n\nka O\n", encoding="utf-8")
+    label_map = None
+    if source == "sidecar":
+        (tmp_path / "toy.labels").write_text("\n".join(names) + "\n", encoding="utf-8")
+        expected_map = {lab: i for i, lab in enumerate(names)}
+    else:
+        label_map = {lab: i for i, lab in enumerate(reversed(names))}
+        expected_map = label_map
+    batches, got_map = make_labeled_batches(tmp_path / name, vocab, max_len=6, batch_size=2,
+                                            seed=3, kind=kind, label_map=label_map)
+    assert got_map == expected_map
+    assert len(batches) == len(ids)
+    relabel = np.array([expected_map[lab] for lab in names])
+    for batch, batch_ids, batch_labels in zip(batches, ids, labels):
+        np.testing.assert_array_equal(batch.token_ids, batch_ids)
+        np.testing.assert_array_equal(batch.attention_mask, np.array(batch_ids) != vocab.pad_id)
+        batch_labels = np.array(batch_labels)
+        ignored = batch_labels == IGNORE_ID
+        want = np.where(ignored, IGNORE_ID, relabel[np.where(ignored, 0, batch_labels)])
+        np.testing.assert_array_equal(batch.labels, want)
+        assert (batch.token_ids.dtype, batch.attention_mask.dtype, batch.labels.dtype) == (
+            np.int64, np.bool_, np.int64)

@@ -5,6 +5,7 @@ import hashlib
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import time
@@ -451,6 +452,18 @@ class TestRunArtifacts:
     def test_missing_section_rejected(self, tmp_path):
         (tmp_path / "c.ini").write_text("[other]\nepochs = 1\n", encoding="utf-8")
         with pytest.raises(ConfigurationError):
+            load_distill_config(tmp_path / "c.ini")
+
+    @pytest.mark.parametrize("text,named", [
+        ("[distil]\nepochs = 10\n[distill]\n", "[distil]"),
+        ("[distill]\nepochs = 2\n[finetune]\nepochs = 10\n", "[finetune]"),
+        ("[a]\n[distill]\n[b]\n", "[a], [b]"),
+    ])
+    def test_sections_other_than_distill_rejected(self, tmp_path, text, named):
+        # their settings would otherwise be dropped
+        (tmp_path / "c.ini").write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigurationError, match=rf"only a \[distill\] section, not "
+                                                     rf"{re.escape(named)}$"):
             load_distill_config(tmp_path / "c.ini")
 
     def test_unreadable_value_rejected(self, tmp_path):

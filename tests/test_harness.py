@@ -301,11 +301,13 @@ class TestReportFiles:
 
     def test_csv_text(self, tmp_path):
         # the literal format: the banner, one column per ComparisonRow field,
-        # each float as its repr and None as an empty field
+        # each float as its repr and None as an empty field, every line ending in \n
         path = emit_report(self._comparison(), "csv", tmp_path / "report.csv")
-        assert path.read_bytes().split(b"\r\n")[:4] == [
-            b"# baseline=base\nmodel,task,metric_name,metric_value,runtime_seconds,perf_diff,"
-            b"speedup",
+        data = path.read_bytes()
+        assert b"\r" not in data and data.endswith(b"\n")
+        assert data.split(b"\n")[:5] == [
+            b"# baseline=base",
+            b"model,task,metric_name,metric_value,runtime_seconds,perf_diff,speedup",
             b"base,t1,accuracy,0.9,10.0,,",
             b"base,t2,span_f1,0.7,20.0,,",
             b"small,t1,accuracy,0.85,4.0,-0.050000000000000044,2.5",

@@ -49,6 +49,8 @@ def test_bit_digests_repeat(tmp_path):
     assert lines == outputs[1].stdout.splitlines()
     names = [line.split()[0] for line in lines]
     assert "distill/weights.bin" in names and "tag_student/metrics" in names
+    assert {"cls_student_evaluate/metrics", "tag_student_evaluate/metrics"} <= set(names)
+    assert len(lines) == 34
     assert all(re.fullmatch(r"\S+ [0-9a-f]{16}", line) for line in lines)
 
 
